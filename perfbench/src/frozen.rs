@@ -3,7 +3,7 @@
 
 use crate::inputs::{self, Batch};
 use crate::serving::{self, check_query, send, Answer, Names, ScorerCounts, TracedScorer};
-use crate::stats::{mean, median, quantile, thread_cpu_s};
+use crate::stats::{cpu_s, mean, median, quantile};
 use crate::trace::{self, span};
 use crate::Outcome;
 use hisres::serve::{
@@ -47,6 +47,9 @@ struct Fixture {
     history: Vec<Quad>,
     /// Held-out `(s, r, gold)` items: raw and inverse test events.
     pool: Vec<(u32, u32, u32)>,
+    /// The held-out pairs the timed rounds ask, with their popularity in
+    /// `history` (see [`inputs::popular_pairs`]).
+    popular: Vec<((u32, u32, u32), u64)>,
     /// Dense score row of every held-out pair, from `score_at`.
     dense: BTreeMap<(u32, u32), Vec<f32>>,
 }
@@ -58,11 +61,13 @@ impl Fixture {
         let mut history = data.train.quads.clone();
         history.extend_from_slice(&data.valid.quads);
         let pool = inputs::quad_items(&data.test.quads, nr);
+        let popular = inputs::popular_pairs(&pool, &history, nr);
         let mut fx = Fixture {
             num_entities: data.num_entities(),
             num_relations: data.num_relations(),
             history,
             pool,
+            popular,
             dense: BTreeMap::new(),
         };
         let (model, ctx) = fx.load(ckpt)?;
@@ -106,10 +111,10 @@ impl Fixture {
     /// One cold set-up: checkpoint load → serving engine ready, and its
     /// CPU time.
     fn plain_engine(&self, ckpt: &Path) -> Result<(ServeEngine, f64), String> {
-        let c0 = thread_cpu_s();
+        let c0 = cpu_s();
         let (model, ctx) = self.load(ckpt)?;
         let engine = self.engine(Box::new(ModelScorer { model, ctx }));
-        Ok((engine, thread_cpu_s() - c0))
+        Ok((engine, cpu_s() - c0))
     }
 
     /// Checks one reply against the pair's dense row.
@@ -235,7 +240,7 @@ pub fn run(seed: u64, seconds: f64, out: &mut Outcome) -> Result<(), String> {
     let fx = Fixture::new(&ckpt)?;
     let (engine, first_setup) = fx.plain_engine(&ckpt)?;
     let mut setups = vec![first_setup];
-    let round = inputs::frozen_round(&fx.pool, seed);
+    let round = inputs::frozen_round(&fx.popular, seed);
     play(&engine, &fx, &round, &mut |_| Ok(()))?; // warm-up, checked, untimed
 
     let mut total = Played::default();
@@ -301,7 +306,7 @@ pub fn profile(seed: u64, seconds: f64, out: &mut Outcome) -> Result<(), String>
         last: last.clone(),
     }));
 
-    let round = inputs::frozen_round(&fx.pool, seed);
+    let round = inputs::frozen_round(&fx.popular, seed);
     play(&plain, &fx, &round, &mut |_| Ok(()))?;
     let mut identity = |b: &Batch| -> Result<(), String> {
         let queries: Vec<(u32, u32)> = b.items.iter().map(|&(s, r, _)| (s, r)).collect();
@@ -394,7 +399,6 @@ pub fn profile(seed: u64, seconds: f64, out: &mut Outcome) -> Result<(), String>
         g(NAMES.global).allocs(),
         "count",
     );
-    out.metric("frozen.topk.block_norms_ms", g(NAMES.norms).self_ms(), "ms");
     out.metric(
         "frozen.model.decode_topk_ms",
         g(NAMES.decode).self_ms(),

@@ -5,16 +5,16 @@ use hisres::{train, HisRes, HisResConfig, TrainConfig};
 use hisres_data::synthetic::generate;
 use hisres_data::{datasets, DatasetSplits};
 use hisres_graph::{Quad, Snapshot};
+use hisres_util::fsio::fnv1a64;
 use hisres_util::rng::rngs::StdRng;
 use hisres_util::rng::{Rng, SeedableRng};
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
 /// Served depth of every query.
 pub const TOPK: usize = 10;
 /// Largest query batch handed to the engine.
 pub const MAX_BATCH: usize = 8;
-/// Zipf exponent of `frozen_serve` pair popularity.
-pub const ZIPF_S: f64 = 1.0;
 /// Batches in one `frozen_serve` round.
 pub const FROZEN_ROUND_BATCHES: usize = 200;
 /// Epochs the serving checkpoint is trained for.
@@ -75,26 +75,41 @@ pub fn run_dir() -> PathBuf {
     work_dir().join(format!("run-{}", std::process::id()))
 }
 
-/// Path of the serving checkpoint (made by [`make_checkpoint`]).
-pub fn checkpoint_path() -> PathBuf {
-    work_dir().join(format!("serve-e{CKPT_EPOCHS}.ckpt"))
+/// Path of the serving checkpoint (made by [`make_checkpoint`]). The
+/// name carries a hash of this executable, which is built from the
+/// program's sources, so a build of other code never serves a checkpoint
+/// trained by this one (or the reverse).
+pub fn checkpoint_path() -> Result<PathBuf, String> {
+    let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
+    let bytes = std::fs::read(&exe).map_err(|e| format!("reading {}: {e}", exe.display()))?;
+    Ok(work_dir().join(format!(
+        "serve-e{CKPT_EPOCHS}-{:016x}.ckpt",
+        fnv1a64(&bytes)
+    )))
 }
 
-/// Trains the serving checkpoint from scratch (fixed seeds) and writes
-/// it atomically.
+/// Trains the serving checkpoint from scratch (fixed seeds), writes it
+/// atomically, and removes checkpoints of other builds.
 pub fn make_checkpoint() -> Result<PathBuf, String> {
     let data = dataset();
     let model = HisRes::new(&model_config(), data.num_entities(), data.num_relations());
     train(&model, &data, &train_config(CKPT_EPOCHS)).map_err(|e| e.to_string())?;
-    let path = checkpoint_path();
+    let path = checkpoint_path()?;
     std::fs::create_dir_all(work_dir()).map_err(|e| e.to_string())?;
     model.save_checkpoint(&path).map_err(|e| e.to_string())?;
+    for entry in std::fs::read_dir(work_dir()).map_err(|e| e.to_string())? {
+        let other = entry.map_err(|e| e.to_string())?.path();
+        let name = other.file_name().and_then(|n| n.to_str()).unwrap_or("");
+        if other != path && name.starts_with("serve-") && name.ends_with(".ckpt") {
+            let _ = std::fs::remove_file(&other);
+        }
+    }
     Ok(path)
 }
 
-/// The checkpoint, made first if this checkout has none yet.
+/// The checkpoint of this build, made first if there is none yet.
 pub fn ensure_checkpoint() -> Result<PathBuf, String> {
-    let path = checkpoint_path();
+    let path = checkpoint_path()?;
     if path.exists() {
         Ok(path)
     } else {
@@ -143,23 +158,45 @@ fn batch_of(items: Vec<(u32, u32, u32)>, next_id: &mut usize) -> Batch {
     Batch { lines, items }
 }
 
+/// The distinct `(s, r)` pairs of `pool`, each with its popularity: how
+/// often it occurs in `history` (an event `(s, r, o)` asks `(s, r)` raw
+/// and `(o, r + nr)` inverse). Pairs the history never asks are left out.
+/// Each pair keeps the gold object of its first item.
+pub fn popular_pairs(
+    pool: &[(u32, u32, u32)],
+    history: &[Quad],
+    nr: u32,
+) -> Vec<((u32, u32, u32), u64)> {
+    let mut seen: BTreeMap<(u32, u32), u64> = BTreeMap::new();
+    for &(s, r, _) in &quad_items(history, nr) {
+        *seen.entry((s, r)).or_default() += 1;
+    }
+    let mut out: Vec<((u32, u32, u32), u64)> = Vec::new();
+    let mut asked = BTreeSet::new();
+    for &item in pool {
+        let count = seen.get(&(item.0, item.1)).copied().unwrap_or(0);
+        if count > 0 && asked.insert((item.0, item.1)) {
+            out.push((item, count));
+        }
+    }
+    out
+}
+
 /// One `frozen_serve` round: [`FROZEN_ROUND_BATCHES`] batches, each size
-/// 1 to [`MAX_BATCH`] equally often in a seeded order, whose items follow
-/// a Zipf(`ZIPF_S`) popularity over a seed-shuffled order of `pool`, so
-/// pairs repeat within and across batches.
-pub fn frozen_round(pool: &[(u32, u32, u32)], seed: u64) -> Vec<Batch> {
+/// 1 to [`MAX_BATCH`] equally often in a seeded order, whose items are
+/// drawn from `popular` in proportion to each pair's popularity, so
+/// pairs repeat within and across batches as often as the history asks
+/// them.
+pub fn frozen_round(popular: &[((u32, u32, u32), u64)], seed: u64) -> Vec<Batch> {
     let mut rng = StdRng::seed_from_u64(seed ^ 0xF0F0_0001);
-    let mut order: Vec<usize> = (0..pool.len()).collect();
-    for i in (1..order.len()).rev() {
-        let j = rng.gen_range(0..=i);
-        order.swap(i, j);
-    }
-    let mut cdf = Vec::with_capacity(pool.len());
-    let mut acc = 0.0;
-    for rank in 0..pool.len() {
-        acc += 1.0 / ((rank + 1) as f64).powf(ZIPF_S);
-        cdf.push(acc);
-    }
+    let cdf: Vec<u64> = popular
+        .iter()
+        .scan(0, |acc, &(_, c)| {
+            *acc += c;
+            Some(*acc)
+        })
+        .collect();
+    let total = cdf.last().copied().unwrap_or(0);
     let mut sizes: Vec<usize> = (0..FROZEN_ROUND_BATCHES)
         .map(|i| i % MAX_BATCH + 1)
         .collect();
@@ -173,9 +210,8 @@ pub fn frozen_round(pool: &[(u32, u32, u32)], seed: u64) -> Vec<Batch> {
         .map(|n| {
             let items = (0..n)
                 .map(|_| {
-                    let u = rng.gen::<f64>() * acc;
-                    let rank = cdf.partition_point(|&c| c <= u).min(pool.len() - 1);
-                    pool[order[rank]]
+                    let u = rng.gen_range(0..total);
+                    popular[cdf.partition_point(|&c| c <= u)].0
                 })
                 .collect();
             batch_of(items, &mut next_id)

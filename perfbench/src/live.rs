@@ -6,7 +6,7 @@ use crate::inputs::{self, LiveStep};
 use crate::serving::{
     self, answer_hash, check_query, send, Answer, Names, ScorerCounts, TracedScorer,
 };
-use crate::stats::{median, quantile, thread_cpu_s};
+use crate::stats::{cpu_s, median, quantile};
 use crate::trace::{self, span};
 use crate::Outcome;
 use hisres::ingest::{IngestRecord, IngestSession, IngestSessionConfig};
@@ -130,7 +130,7 @@ impl Fixture {
         ] {
             std::fs::copy(from, to).map_err(|e| format!("template copy: {e}"))?;
         }
-        let c0 = thread_cpu_s();
+        let c0 = cpu_s();
         let session = Rc::new(RefCell::new(self.open_session(dir)?));
         let fallback =
             FrequencyScorer::from_quads(self.num_entities, self.num_relations, &self.prefix);
@@ -145,7 +145,7 @@ impl Fixture {
         Ok(Live {
             engine,
             session,
-            setup_s: thread_cpu_s() - c0,
+            setup_s: cpu_s() - c0,
         })
     }
 
@@ -163,8 +163,9 @@ struct Played {
     query_wall_ms: Vec<f64>,
     /// Per ingest: wall time (an fsync wait is not CPU time).
     ingest_wall_ms: Vec<f64>,
-    /// CPU time of all operations, ingests included.
-    cpu_ms: f64,
+    /// Time of all operations: CPU time of the query batches plus wall
+    /// time of the ingests, so an ingest's fsync wait counts.
+    cost_ms: f64,
     allocs: u64,
     queries: u64,
     ingests: u64,
@@ -228,7 +229,7 @@ fn play(
     for step in round {
         for b in &step.batches {
             let sent = send(&live.engine, &b.lines, &NAMES);
-            p.cpu_ms += sent.cpu_ms;
+            p.cost_ms += sent.cpu_ms;
             p.allocs += sent.allocs;
             p.queries += b.lines.len() as u64;
             p.query_ms
@@ -248,7 +249,7 @@ fn play(
             ..NAMES
         };
         let sent = send(&live.engine, std::slice::from_ref(&step.ingest), &names);
-        p.cpu_ms += sent.cpu_ms;
+        p.cost_ms += sent.wall_ms;
         p.allocs += sent.allocs;
         p.ingests += 1;
         p.ingest_wall_ms.push(sent.wall_ms);
@@ -354,17 +355,17 @@ fn run_in(dir: &Path, seed: u64, seconds: f64, out: &mut Outcome) -> Result<(), 
     let mut total = Played::default();
     let mut last = None;
     let mut rates = Vec::new();
-    while total.cpu_ms < seconds * 1e3 {
+    while total.cost_ms < seconds * 1e3 {
         let live = fx.start_plain(&round_dir)?;
         setups.push(live.setup_s);
         let p = play(&live, &fx, &round, &mut NoHooks)?;
-        rates.push(p.queries as f64 / (p.cpu_ms / 1e3));
+        rates.push(p.queries as f64 / (p.cost_ms / 1e3));
         if p.hashes != reference.hashes {
             out.errors
                 .push("a timed round's answers differ from the checked round's".into());
         }
         total.query_ms.extend_from_slice(&p.query_ms);
-        total.cpu_ms += p.cpu_ms;
+        total.cost_ms += p.cost_ms;
         total.allocs += p.allocs;
         total.queries += p.queries;
         total.ingests += p.ingests;

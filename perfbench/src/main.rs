@@ -131,8 +131,9 @@ fn run(args: &Args) -> Result<Outcome, String> {
 }
 
 fn main() {
-    // One pool thread, the caller: all work stays on the generator
-    // thread, so its CPU time is the whole cost of an operation.
+    // One pool thread, the caller: with 2 vCPUs a second pool thread
+    // would compete with the generator. Times are process CPU time, so
+    // work on any other thread would still count.
     hisres_util::pool::set_global_threads(1);
     let result = match parse_args() {
         Ok(None) => inputs::make_checkpoint().map(|p| {

@@ -3,7 +3,7 @@
 //! under spans, and reply checking.
 
 use crate::check::{self, Reply};
-use crate::stats::thread_cpu_s;
+use crate::stats::cpu_s;
 use crate::trace::span;
 use crate::ALLOC;
 use hisres::model::Encoded;
@@ -49,7 +49,7 @@ pub struct Sent {
 /// to the return of the replies.
 pub fn send(engine: &ServeEngine, lines: &[String], names: &Names) -> Sent {
     let a0 = ALLOC.allocations();
-    let c0 = thread_cpu_s();
+    let c0 = cpu_s();
     let t0 = Instant::now();
     let items = lines
         .iter()
@@ -57,7 +57,7 @@ pub fn send(engine: &ServeEngine, lines: &[String], names: &Names) -> Sent {
         .collect();
     let replies = span(names.batch, || engine.handle_parsed_batch(items));
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let cpu_ms = (thread_cpu_s() - c0) * 1e3;
+    let cpu_ms = (cpu_s() - c0) * 1e3;
     let allocs = ALLOC.allocations() - a0;
     Sent {
         replies: replies.into_iter().map(|r| r.line).collect(),

@@ -38,20 +38,21 @@ extern "C" {
     fn clock_gettime(clock: i32, tp: *mut Timespec) -> i32;
 }
 
-const CLOCK_THREAD_CPUTIME_ID: i32 = 3;
+const CLOCK_PROCESS_CPUTIME_ID: i32 = 2;
 
-/// CPU time the calling thread has consumed, in seconds. Unlike wall
-/// time it leaves out time the vCPU was stolen by the host and time
-/// spent blocked (an fsync wait, for one).
-pub fn thread_cpu_s() -> f64 {
+/// CPU time all threads of this process have consumed, in seconds, so
+/// work moved to another thread still counts. Unlike wall time it leaves
+/// out time the vCPU was stolen by the host and time spent blocked (an
+/// fsync wait, for one).
+pub fn cpu_s() -> f64 {
     let mut ts = Timespec {
         tv_sec: 0,
         tv_nsec: 0,
     };
     // SAFETY: `ts` is a live, writable timespec for the whole call, which
     // only writes through the pointer; the clock id is a Linux constant.
-    let rc = unsafe { clock_gettime(CLOCK_THREAD_CPUTIME_ID, &mut ts) };
-    assert_eq!(rc, 0, "clock_gettime(CLOCK_THREAD_CPUTIME_ID) failed");
+    let rc = unsafe { clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &mut ts) };
+    assert_eq!(rc, 0, "clock_gettime(CLOCK_PROCESS_CPUTIME_ID) failed");
     ts.tv_sec as f64 + ts.tv_nsec as f64 * 1e-9
 }
 

@@ -3,7 +3,7 @@
 
 use crate::check;
 use crate::inputs;
-use crate::stats::{median, thread_cpu_s};
+use crate::stats::{cpu_s, median};
 use crate::trace::{self, span};
 use crate::Outcome;
 use crate::ALLOC;
@@ -57,14 +57,14 @@ fn write_dataset(dir: &Path) -> Result<(), String> {
 /// One cold set-up, as `hisres train --data` pays it: the dataset loaded
 /// from its files, then model construction.
 fn setup(dir: &Path) -> Result<(DatasetSplits, HisRes, f64), String> {
-    let c0 = thread_cpu_s();
+    let c0 = cpu_s();
     let data = load_dir(dir, "icews14s-syn", 1).map_err(|e| e.to_string())?;
     let model = HisRes::new(
         &inputs::model_config(),
         data.num_entities(),
         data.num_relations(),
     );
-    Ok((data, model, thread_cpu_s() - c0))
+    Ok((data, model, cpu_s() - c0))
 }
 
 /// Optimizer steps one epoch makes: one per non-empty snapshot after
@@ -97,18 +97,18 @@ fn round(
 ) -> Result<Round, String> {
     let tc = inputs::train_config(inputs::TRAIN_EPOCHS);
     let a0 = ALLOC.allocations();
-    let c0 = thread_cpu_s();
+    let c0 = cpu_s();
     let report =
         train_with(&model, data, &tc, &TrainOptions::default()).map_err(|e| e.to_string())?;
-    let train_s = thread_cpu_s() - c0;
+    let train_s = cpu_s() - c0;
     let allocs = ALLOC.allocations() - a0;
     for _ in 0..EXTRA_SETUPS {
         setups.push(setup(dir)?.2);
     }
     let a1 = ALLOC.allocations();
-    let c1 = thread_cpu_s();
+    let c1 = cpu_s();
     let res = evaluate(&HisResEval { model: &model }, data, Split::Test);
-    let eval_s = thread_cpu_s() - c1;
+    let eval_s = cpu_s() - c1;
     let allocs = allocs + ALLOC.allocations() - a1;
     Ok(Round {
         model,
@@ -250,11 +250,11 @@ pub fn run(seconds: f64, out: &mut Outcome) -> Result<(), String> {
 
 fn run_in(dir: &Path, seconds: f64, out: &mut Outcome) -> Result<(), String> {
     let mut setups = Vec::new();
-    let (mut cpu_s, mut steps, mut allocs) = (0.0, 0u64, 0u64);
+    let (mut spent_s, mut steps, mut allocs) = (0.0, 0u64, 0u64);
     let (mut step_ms, mut rates) = (Vec::new(), Vec::new());
     let mut mrr: Option<f64> = None;
     let mut last = None;
-    while cpu_s < seconds {
+    while spent_s < seconds {
         let (data, model, s) = setup(dir)?;
         setups.push(s);
         let r = round(dir, &data, model, &mut setups)?;
@@ -271,7 +271,7 @@ fn run_in(dir: &Path, seconds: f64, out: &mut Outcome) -> Result<(), String> {
         mrr = Some(r.mrr);
         out.attempted += n;
         out.failed += r.report.guard_events.len() as u64;
-        cpu_s += r.train_s + r.eval_s;
+        spent_s += r.train_s + r.eval_s;
         steps += n;
         allocs += r.allocs;
         step_ms.push(1e3 * r.train_s / n.max(1) as f64);
@@ -364,12 +364,12 @@ fn profile_in(dir: &Path, out: &mut Outcome) -> Result<(), String> {
     let (_, replica, _) = setup(dir)?;
     let filter = build_filter(&data);
     trace::set_enabled(true);
-    let c0 = thread_cpu_s();
+    let c0 = cpu_s();
     let replayed = replay_training(&replica, &data);
     let replay_mrr = replay_eval(&replica, &data, |row, q| {
         span("eval.rank", || filter.filtered_rank(row, q))
     });
-    let replay_s = thread_cpu_s() - c0;
+    let replay_s = cpu_s() - c0;
     trace::set_enabled(false);
     replayed?;
     if replica.store.to_json() != r.model.store.to_json() {

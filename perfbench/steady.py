@@ -1,17 +1,17 @@
 #!/usr/bin/env python3
 """Steadiness check for the benchmark in BENCHMARK.json.
 
-Runs each workload once per seed, for one or more sets of runs, and
-prints each end-to-end metric's median, quartiles and spread (the
-distance between the quartiles as a share of the median). It fails when
-a spread (setup_s excepted) is wider than the metric's bound, when a
-later set's median is worse than the first set's by more than the bound,
-or when the share of failed operations differs between sets.
+Runs every workload once per seed (seeds 1..runs) for BENCHMARK.json's
+run_seconds, for one or more sets of runs, and prints each end-to-end
+metric's median, quartiles and spread (the distance between the
+quartiles as a share of the median). It fails when any metric's spread
+is wider than its bound, when a later set's median is worse than the
+first set's by more than the bound, or when the share of failed
+operations differs between sets.
 
 Run from the repository root:
 
     python3 perfbench/steady.py --runs 10 --sets 2
-    python3 perfbench/steady.py --runs 5 --workloads live_serve
 """
 
 import argparse
@@ -46,17 +46,12 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--runs", type=int, default=10, help="runs per workload per set")
     ap.add_argument("--sets", type=int, default=1, help="sets of runs to compare")
-    ap.add_argument("--first-seed", type=int, default=1)
-    ap.add_argument("--workloads", help="comma-separated subset")
-    ap.add_argument("--seconds", type=int, help="override run_seconds")
     args = ap.parse_args()
 
     with open("BENCHMARK.json") as f:
         bench = json.load(f)
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
     names = [w["name"] for w in bench["workloads"]]
-    if args.workloads:
-        names = args.workloads.split(",")
     metrics = {m["name"]: m for m in bench["end_to_end"]}
     problems = []
 
@@ -65,7 +60,7 @@ def main():
         for s in range(args.sets):
             runs = []
             for i in range(args.runs):
-                seed = args.first_seed + i
+                seed = 1 + i
                 r = run_once(bench, workload, seed, seconds)
                 runs.append(r)
                 print(f"# {workload} set {s + 1} seed {seed}: " + json.dumps(
@@ -84,7 +79,7 @@ def main():
                 values = [r["metrics"][name]["value"] for r in runs]
                 med, q1, q3, spread = summarize(values)
                 flag = ""
-                if name != "setup_s" and spread > m["bound"]:
+                if spread > m["bound"]:
                     flag = "  SPREAD > BOUND"
                     problems.append(f"{workload} {name}: spread {spread:.3f} > bound {m['bound']}")
                 if s == 0:
