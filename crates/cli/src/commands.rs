@@ -10,7 +10,7 @@ use hisres::ingest::{IngestSession, IngestSessionConfig};
 use hisres::dist::{train_distributed, DistConfig, LossPolicy, WorkerConfig};
 use hisres::trainer::{train_with, HisResEval, TrainOptions};
 use hisres::{
-    evaluate, evaluate_relations, GuardPolicy, HisRes, HisResConfig, ScoreCtx, Split,
+    evaluate, evaluate_relations, score_at, GuardPolicy, HisRes, HisResConfig, ScoreCtx, Split,
     TrainCheckpoint, TrainConfig,
 };
 use hisres_comms::{HeartbeatConfig, NetFaultInjector};
@@ -20,10 +20,7 @@ use hisres_util::retry::BackoffPolicy;
 use hisres_data::datasets::{load as load_builtin, DatasetSplits};
 use hisres_data::loader::{load_dir, load_vocab_file};
 use hisres_data::stats::{header, DatasetStats};
-use hisres_graph::{GlobalHistoryIndex, Quad, Tkg, Vocab};
-use hisres_tensor::no_grad;
-use hisres_util::rng::rngs::StdRng;
-use hisres_util::rng::SeedableRng;
+use hisres_graph::{Quad, Vocab};
 
 type CmdResult = Result<(), Box<dyn std::error::Error>>;
 
@@ -304,33 +301,22 @@ pub fn predict(args: &Args) -> CmdResult {
         .into());
     }
 
-    // history = the entire known timeline
-    let all = Tkg::new(data.num_entities(), data.num_relations(), data.all_quads());
-    let snaps = hisres_graph::snapshot::partition(&all);
-    let predict_t = snaps.len() as u32;
-    let start = snaps.len().saturating_sub(model.cfg.history_len);
-    let mut global = GlobalHistoryIndex::new();
-    for snap in &snaps {
-        global.add_snapshot(snap, data.num_relations());
-    }
-    let queries = vec![(s, r)];
-    let k = model.cfg.global_prune_topk.unwrap_or(usize::MAX);
-    let g_edges = global.relevant_graph_pruned(&queries, k);
-
-    let mut rng = StdRng::seed_from_u64(0);
-    let scores = no_grad(|| {
-        let enc = model.encode(&snaps[start..], predict_t, &g_edges, false, &mut rng);
-        model.score_objects(&enc, &[(s, r)], false, &mut rng).value_clone()
-    });
+    // history = the entire known timeline; scored through the same memoised
+    // path as the server, so the attention explanation below reuses the
+    // local encoding
+    let ctx = ScoreCtx::at_end_of(&data);
+    let scores = score_at(&model, &ctx, &[(s, r)]);
     let mut ranked: Vec<(usize, f32)> = scores.row(0).iter().copied().enumerate().collect();
     // total_cmp: a NaN score (diverged checkpoint) must not panic the sort
     ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
-    println!("query ({s}, {r}, ?, t={predict_t}) — top {topk}:");
+    println!("query ({s}, {r}, ?, t={}) — top {topk}:", ctx.t);
     for (rank, (o, score)) in ranked.iter().take(topk).enumerate() {
         println!("  {:>3}. entity {:>5}  score {score:.4}", rank + 1, o);
     }
     if explain {
-        match model.explain_global(&snaps[start..], predict_t, &g_edges) {
+        let k = model.cfg.global_prune_topk.unwrap_or(usize::MAX);
+        let g_edges = ctx.global.relevant_graph_pruned(&[(s, r)], k);
+        match model.explain_global(ctx.window(model.cfg.history_len), ctx.t, &g_edges) {
             Some(att) => {
                 let mut edges: Vec<(usize, f32)> = att.into_iter().enumerate().collect();
                 edges.sort_by(|a, b| b.1.total_cmp(&a.1));

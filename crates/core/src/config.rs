@@ -42,7 +42,7 @@ impl FromJson for GlobalAggregator {
 
 /// HisRES hyper-parameters. `Default` reproduces the paper's architecture
 /// scaled to CPU size; the paper-scale values are noted per field.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct HisResConfig {
     /// Embedding width `d` (paper: 200).
     pub dim: usize,

@@ -7,13 +7,16 @@
 //! snapshot then joins the history. Both raw and inverse queries are
 //! evaluated, matching the two-directional protocol of the baselines.
 
+use crate::model::{Encoded, HisRes};
+use crate::topk::BlockNorms;
 use crate::trainer::snapshots_of;
 use hisres_data::DatasetSplits;
-use hisres_graph::{
-    GlobalHistoryIndex, Quad, RankMetrics, Snapshot, TimeFilter,
-};
-use hisres_tensor::NdArray;
+use hisres_graph::{EdgeList, GlobalHistoryIndex, Quad, RankMetrics, Snapshot, TimeFilter};
+use hisres_tensor::{no_grad, NdArray};
 use hisres_util::pool;
+use hisres_util::rng::rngs::StdRng;
+use hisres_util::rng::SeedableRng;
+use std::collections::BTreeMap;
 
 /// Minimum query rows per ranking task; each row scans every entity, so a
 /// task this size comfortably amortises pool dispatch.
@@ -213,9 +216,10 @@ pub fn train_snapshots(data: &DatasetSplits) -> Vec<Snapshot> {
 }
 
 /// A prepared, owned scoring context at the end of a known timeline — the
-/// single-query entry point shared by `hisres predict` and the serving
-/// path. Building it once amortises the snapshot partitioning and global
-/// history indexing across any number of queries.
+/// entry point shared by `hisres predict` and the frozen serving path.
+/// Building it once amortises the snapshot partitioning and global history
+/// indexing across any number of queries; the model memoises the local
+/// encoding of its last `history_len` snapshots (see [`score_at`]).
 pub struct ScoreCtx {
     /// Dense snapshot timeline `0..t` (empty snapshots for quiet steps).
     pub snapshots: Vec<Snapshot>,
@@ -258,6 +262,11 @@ impl ScoreCtx {
             num_relations: self.num_relations,
         }
     }
+
+    /// The last `history_len` snapshots: the window the local encoder reads.
+    pub fn window(&self, history_len: usize) -> &[Snapshot] {
+        &self.snapshots[self.snapshots.len().saturating_sub(history_len)..]
+    }
 }
 
 /// Scores all entities for each `(s, r)` query at the end of `ctx`'s
@@ -270,49 +279,73 @@ impl ScoreCtx {
 /// naively encoding a multi-query batch in one pass would leak one
 /// query's history into another's scores (that union-graph protocol is
 /// what [`evaluate`] uses deliberately — there the batch *is* the test
-/// snapshot). Here the query-independent local evolution
-/// ([`HisRes::encode_local`](crate::model::HisRes::encode_local)) runs
-/// once and is shared, while the cheap query-dependent global stage and
-/// decoder run once per **distinct** `(s, r)` pair — duplicates are
-/// answered by row replication. This is what lets the serving batcher
-/// coalesce concurrent requests into one encoder pass without changing
-/// any client-visible score.
-pub fn score_at(model: &crate::model::HisRes, ctx: &ScoreCtx, queries: &[(u32, u32)]) -> NdArray {
-    use hisres_tensor::no_grad;
-    use hisres_util::rng::rngs::StdRng;
-    use hisres_util::rng::SeedableRng;
-    use std::collections::BTreeMap;
+/// snapshot). Here the query-independent local evolution comes from
+/// [`HisRes::local_encoding`](crate::model::HisRes::local_encoding): it is
+/// computed once per timeline and parameter version and reused by every
+/// later call, while the cheap query-dependent global stage and decoder
+/// run once per **distinct** `(s, r)` pair — duplicates are answered by
+/// row replication. This is what lets the serving batcher coalesce
+/// concurrent requests without changing any client-visible score.
+pub fn score_at(model: &HisRes, ctx: &ScoreCtx, queries: &[(u32, u32)]) -> NdArray {
+    let local = model.local_encoding(ctx.window(model.cfg.history_len), ctx.t);
+    score_dense(model, &local, &ctx.global, queries)
+}
 
-    let mut out = NdArray::zeros(queries.len(), ctx.num_entities);
-    if queries.is_empty() {
-        return out;
-    }
-    let start = ctx.snapshots.len().saturating_sub(model.cfg.history_len);
-    let history = &ctx.snapshots[start..];
-    let k = model.cfg.global_prune_topk.unwrap_or(usize::MAX);
+/// Top-k entity predictions for each `(s, r)` query at the end of `ctx`'s
+/// timeline — the short-circuit twin of [`score_at`], over the same
+/// memoised local encoding.
+///
+/// Per row the result is bit-identical to taking [`score_at`]'s dense row,
+/// sorting with the serving comparator (score descending, id ascending)
+/// and truncating to `k`; a row is `None` exactly when the dense row
+/// contains a non-finite score (the serving layer's degrade condition).
+pub fn score_at_topk(
+    model: &HisRes,
+    ctx: &ScoreCtx,
+    queries: &[(u32, u32)],
+    k: usize,
+) -> Vec<Option<Vec<(u32, f32)>>> {
+    let local = model.local_encoding(ctx.window(model.cfg.history_len), ctx.t);
+    score_topk(model, &local, &ctx.global, queries, k)
+}
 
-    // Deterministic grouping: rows that share a pair share one answer.
+/// Query rows grouped by distinct `(s, r)` pair, in pair order: rows that
+/// share a pair share one answer.
+fn pair_groups(queries: &[(u32, u32)]) -> BTreeMap<(u32, u32), Vec<usize>> {
     let mut groups: BTreeMap<(u32, u32), Vec<usize>> = BTreeMap::new();
     for (i, &pair) in queries.iter().enumerate() {
         groups.entry(pair).or_default().push(i);
     }
+    groups
+}
 
+/// One pair's globally relevant graph (empty when `use_global` is off).
+fn pair_graph(model: &HisRes, global: &GlobalHistoryIndex, pair: (u32, u32)) -> EdgeList {
+    if model.cfg.use_global {
+        global.relevant_graph_pruned(&[pair], model.cfg.global_prune_topk.unwrap_or(usize::MAX))
+    } else {
+        EdgeList::new()
+    }
+}
+
+/// The dense scoring core of [`score_at`] and
+/// [`IngestSession::score`](crate::ingest::IngestSession::score): per
+/// distinct pair, its relevant graph, the global stage over `local`, and
+/// the decoder. Each pair gets a fresh eval-mode rng, as a solo call would.
+pub(crate) fn score_dense(
+    model: &HisRes,
+    local: &Encoded,
+    global: &GlobalHistoryIndex,
+    queries: &[(u32, u32)],
+) -> NdArray {
+    let mut out = NdArray::zeros(queries.len(), model.num_entities());
     no_grad(|| {
-        let mut rng = StdRng::seed_from_u64(0);
-        let local = model.encode_local(history, ctx.t, false, &mut rng);
-        for (&pair, rows) in &groups {
-            let g_edges = if model.cfg.use_global {
-                ctx.global.relevant_graph_pruned(&[pair], k)
-            } else {
-                hisres_graph::EdgeList::new()
-            };
-            // Fresh seed per pair, mirroring the per-call rng a solo
-            // score would construct (unused in eval mode; the mirror
-            // keeps equivalence robust if that ever changes).
+        for (pair, rows) in pair_groups(queries) {
             let mut rng = StdRng::seed_from_u64(0);
-            let enc = model.encode_global_with(&local, &g_edges, false, &mut rng);
+            let graph = pair_graph(model, global, pair);
+            let enc = model.encode_global_with(local, &graph, false, &mut rng);
             let scores = model.score_objects(&enc, &[pair], false, &mut rng).value_clone();
-            for &i in rows {
+            for i in rows {
                 out.row_mut(i).copy_from_slice(scores.row(0));
             }
         }
@@ -320,73 +353,42 @@ pub fn score_at(model: &crate::model::HisRes, ctx: &ScoreCtx, queries: &[(u32, u
     out
 }
 
-/// Top-k entity predictions for each `(s, r)` query at the end of `ctx`'s
-/// timeline — the short-circuit twin of [`score_at`].
-///
-/// Per row the result is bit-identical to taking [`score_at`]'s dense row,
-/// sorting with the serving comparator (score descending, id ascending)
-/// and truncating to `k`; a row is `None` exactly when the dense row
-/// contains a non-finite score (the serving layer's degrade condition).
-///
-/// The pair grouping mirrors [`score_at`]. Pairs whose globally relevant
-/// graph is empty (always, when `use_global` is off) share one fused
-/// entity table, so its [`BlockNorms`](crate::topk::BlockNorms) are
-/// computed once and every such pair's scoring fan-out is pruned by the
-/// Cauchy–Schwarz short-circuit; a pair with its own globally-augmented
-/// table is scored without norms — precomputing them would cost as much
-/// as the one dense row they could save.
-pub fn score_at_topk(
-    model: &crate::model::HisRes,
-    ctx: &ScoreCtx,
+/// The top-k scoring core of [`score_at_topk`] and
+/// [`IngestSession::score_topk`](crate::ingest::IngestSession::score_topk).
+/// Pairs whose relevant graph is empty (always, when `use_global` is off)
+/// share one entity table — the encoder is a deterministic function of
+/// `(local, edges)` in eval mode — so its
+/// [`BlockNorms`](crate::topk::BlockNorms) are computed once and prune
+/// every such pair's scan; a pair with its own globally-augmented table is
+/// scored without norms, which would cost as much as the one dense row
+/// they could save.
+pub(crate) fn score_topk(
+    model: &HisRes,
+    local: &Encoded,
+    global: &GlobalHistoryIndex,
     queries: &[(u32, u32)],
     k: usize,
 ) -> Vec<Option<Vec<(u32, f32)>>> {
-    use hisres_tensor::no_grad;
-    use hisres_util::rng::rngs::StdRng;
-    use hisres_util::rng::SeedableRng;
-    use std::collections::BTreeMap;
-
-    let mut out: Vec<Option<Vec<(u32, f32)>>> = vec![None; queries.len()];
-    if queries.is_empty() {
-        return out;
-    }
-    let start = ctx.snapshots.len().saturating_sub(model.cfg.history_len);
-    let history = &ctx.snapshots[start..];
-    let prune_k = model.cfg.global_prune_topk.unwrap_or(usize::MAX);
-
-    let mut groups: BTreeMap<(u32, u32), Vec<usize>> = BTreeMap::new();
-    for (i, &pair) in queries.iter().enumerate() {
-        groups.entry(pair).or_default().push(i);
-    }
-
+    let mut out: Vec<Option<Vec<(u32, f32)>>> = vec![None; queries.len()]; // lint:allow(no-hot-alloc-reachable): per-batch result buffer, one slot per query in the request
     no_grad(|| {
-        let mut rng = StdRng::seed_from_u64(0);
-        let local = model.encode_local(history, ctx.t, false, &mut rng);
-        // Lazily built shared encoding for empty-global-graph pairs: the
-        // encoder is a deterministic function of (local, edges) in eval
-        // mode, so every such pair sees a bitwise-equal entity table.
-        let mut shared: Option<(crate::model::Encoded, crate::topk::BlockNorms)> = None;
-        for (&pair, rows) in &groups {
-            let g_edges = if model.cfg.use_global {
-                ctx.global.relevant_graph_pruned(&[pair], prune_k)
-            } else {
-                hisres_graph::EdgeList::new()
-            };
+        let mut shared: Option<(Encoded, BlockNorms)> = None;
+        for (pair, rows) in pair_groups(queries) {
+            let g_edges = pair_graph(model, global, pair);
             let mut rng = StdRng::seed_from_u64(0);
             let preds = if g_edges.is_empty() {
-                if shared.is_none() {
-                    let enc = model.encode_global_with(&local, &g_edges, false, &mut rng);
+                let (enc, norms) = shared.get_or_insert_with(|| {
+                    let enc = model.encode_global_with(local, &g_edges, false, &mut rng);
                     let norms = model.entity_block_norms(&enc);
-                    shared = Some((enc, norms));
-                }
-                let (enc, norms) = shared.as_ref().expect("just filled");
+                    (enc, norms)
+                });
                 model.score_objects_topk(enc, &[pair], k, Some(norms))
             } else {
-                let enc = model.encode_global_with(&local, &g_edges, false, &mut rng);
+                let enc = model.encode_global_with(local, &g_edges, false, &mut rng);
                 model.score_objects_topk(&enc, &[pair], k, None)
             };
-            for &i in rows {
-                out[i] = preds[0].clone();
+            let row = preds.into_iter().next().flatten();
+            for i in rows {
+                out[i] = row.clone();
             }
         }
     });
@@ -400,15 +402,7 @@ pub fn score_at_topk(
 ///
 /// This task is HisRES-specific (the generic [`ExtrapolationModel`]
 /// protocol covers entity queries only), so it takes the model directly.
-pub fn evaluate_relations(
-    model: &crate::model::HisRes,
-    data: &DatasetSplits,
-    split: Split,
-) -> EvalResult {
-    use hisres_graph::EdgeList;
-    use hisres_util::rng::rngs::StdRng;
-    use hisres_util::rng::SeedableRng;
-
+pub fn evaluate_relations(model: &HisRes, data: &DatasetSplits, split: Split) -> EvalResult {
     let nr = data.num_relations() as u32;
     // relation-side time filter: reuse TimeFilter by recoding each event
     // as (subject = s, "relation" = o, "object" = rel id)

@@ -14,6 +14,11 @@
 //! 4. periodically **snapshot** the state to an atomic, checksummed
 //!    envelope file so restarts only re-advance the WAL tail.
 //!
+//! Queries run through the scoring cores of [`crate::eval::score_at`] and
+//! [`crate::eval::score_at_topk`] over the state's local encoding, which
+//! the session computes on the first query after an ingest and reuses
+//! until the state advances or the parameters change.
+//!
 //! Recovery ([`IngestSession::open`]) is: load the newest state snapshot
 //! if one exists (else fold the dataset timeline from scratch), then
 //! replay the WAL — every record re-feeds the relevance index (cheap,
@@ -34,16 +39,14 @@
 //! the condition is flagged in the serving `stats`.
 
 use crate::eval::ScoreCtx;
-use crate::model::{EncoderState, HisRes};
-use hisres_graph::{EdgeList, GlobalHistoryIndex, Snapshot};
-use hisres_tensor::{no_grad, NdArray};
+use crate::model::{Encoded, EncoderState, HisRes};
+use hisres_graph::{GlobalHistoryIndex, Snapshot};
+use hisres_tensor::NdArray;
 use hisres_util::fsio::{self, FaultInjector};
 use hisres_util::json;
-use hisres_util::rng::rngs::StdRng;
-use hisres_util::rng::SeedableRng;
 use hisres_util::wal::{CorruptPolicy, Wal};
 use hisres_util::impl_json;
-use std::collections::BTreeMap;
+use std::cell::RefCell;
 use std::fmt;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -248,6 +251,9 @@ pub struct IngestSession {
     snapshot_faults: FaultInjector,
     stats: IngestStats,
     recovery: RecoveryInfo,
+    /// The live local encoding, keyed by (parameter version,
+    /// `state.intra_steps`).
+    local_memo: RefCell<Option<((u64, u64), Encoded)>>,
 }
 
 impl IngestSession {
@@ -298,6 +304,7 @@ impl IngestSession {
             snapshot_faults: FaultInjector::none(),
             stats: IngestStats::default(),
             recovery,
+            local_memo: RefCell::new(None),
         };
 
         for bytes in &replay.records {
@@ -450,86 +457,35 @@ impl IngestSession {
     }
 
     /// Scores every entity as the object of each `(s, r)` query against
-    /// the *current* ingested state — the online counterpart of
-    /// [`crate::eval::score_at`], sharing one local encoding across the
-    /// batch and grouping duplicate pairs deterministically.
+    /// the *current* ingested state — [`crate::eval::score_at`]'s dense
+    /// scoring core over the session's memoised local encoding.
     pub fn score(&self, queries: &[(u32, u32)]) -> NdArray {
-        let mut out = NdArray::zeros(queries.len(), self.num_entities);
-        if queries.is_empty() {
-            return out;
-        }
-        let k = self.model.cfg.global_prune_topk.unwrap_or(usize::MAX);
-        let mut groups: BTreeMap<(u32, u32), Vec<usize>> = BTreeMap::new();
-        for (i, &pair) in queries.iter().enumerate() {
-            groups.entry(pair).or_default().push(i);
-        }
-        no_grad(|| {
-            let local = self.model.state_local_encoding(&self.state);
-            for (&pair, rows) in &groups {
-                let g_edges = if self.model.cfg.use_global {
-                    self.global.relevant_graph_pruned(&[pair], k)
-                } else {
-                    EdgeList::new()
-                };
-                let mut rng = StdRng::seed_from_u64(0);
-                let enc = self.model.encode_global_with(&local, &g_edges, false, &mut rng);
-                let scores =
-                    self.model.score_objects(&enc, &[pair], false, &mut rng).value_clone();
-                for &i in rows {
-                    out.row_mut(i).copy_from_slice(scores.row(0));
-                }
-            }
-        });
-        out
+        crate::eval::score_dense(&self.model, &self.local_encoding(), &self.global, queries)
     }
 
-    /// Top-k entity predictions against the current ingested state — the
-    /// online counterpart of [`crate::eval::score_at_topk`], bit-identical
-    /// per row to ranking [`Self::score`]'s dense output (score descending,
-    /// id ascending) and truncating to `k`; `None` rows carry a non-finite
-    /// score and must be degraded by the caller.
+    /// Top-k entity predictions against the current ingested state —
+    /// [`crate::eval::score_at_topk`]'s top-k core over the session's
+    /// memoised local encoding, bit-identical per row to ranking
+    /// [`Self::score`]'s dense output (score descending, id ascending) and
+    /// truncating to `k`; `None` rows carry a non-finite score and must be
+    /// degraded by the caller.
     pub fn score_topk(&self, queries: &[(u32, u32)], k: usize) -> Vec<Option<Vec<(u32, f32)>>> {
-        let mut out: Vec<Option<Vec<(u32, f32)>>> = vec![None; queries.len()]; // lint:allow(no-hot-alloc-reachable): per-batch result buffer, one slot per query in the request
-        if queries.is_empty() {
-            return out;
-        }
-        let prune_k = self.model.cfg.global_prune_topk.unwrap_or(usize::MAX);
-        let mut groups: BTreeMap<(u32, u32), Vec<usize>> = BTreeMap::new();
-        for (i, &pair) in queries.iter().enumerate() {
-            groups.entry(pair).or_default().push(i);
-        }
-        no_grad(|| {
-            let local = self.model.state_local_encoding(&self.state);
-            let mut shared: Option<(crate::model::Encoded, crate::topk::BlockNorms)> = None;
-            for (&pair, rows) in &groups {
-                let g_edges = if self.model.cfg.use_global {
-                    self.global.relevant_graph_pruned(&[pair], prune_k)
-                } else {
-                    EdgeList::new()
-                };
-                let mut rng = StdRng::seed_from_u64(0);
-                let preds = if g_edges.is_empty() {
-                    if shared.is_none() {
-                        let enc = self.model.encode_global_with(&local, &g_edges, false, &mut rng);
-                        let norms = self.model.entity_block_norms(&enc);
-                        shared = Some((enc, norms));
-                    }
-                    match shared.as_ref() {
-                        Some((enc, norms)) => {
-                            self.model.score_objects_topk(enc, &[pair], k, Some(norms))
-                        }
-                        None => Vec::new(),
-                    }
-                } else {
-                    let enc = self.model.encode_global_with(&local, &g_edges, false, &mut rng);
-                    self.model.score_objects_topk(&enc, &[pair], k, None)
-                };
-                for &i in rows {
-                    out[i] = preds.first().cloned().flatten();
-                }
+        crate::eval::score_topk(&self.model, &self.local_encoding(), &self.global, queries, k)
+    }
+
+    /// [`HisRes::state_local_encoding`] of the live state, computed on the
+    /// first query after an ingest (so ingest latency does not grow) and
+    /// reused until the state advances or the parameters change.
+    fn local_encoding(&self) -> Encoded {
+        let key = (self.model.store.version(), self.state.intra_steps);
+        if let Some((k, local)) = self.local_memo.borrow().as_ref() {
+            if *k == key {
+                return local.clone();
             }
-        });
-        out
+        }
+        let local = self.model.state_local_encoding(&self.state);
+        *self.local_memo.borrow_mut() = Some((key, local.clone()));
+        local
     }
 
     fn enter_read_only(&mut self, reason: String) {

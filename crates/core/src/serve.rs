@@ -44,8 +44,8 @@
 //!   serving undurable acknowledgements.
 //! * **Observability** — [`ServeStats`] counts requests, errors by kind,
 //!   degraded answers, panics, admission rejections and ingest activity,
-//!   and reports p50/p99 latency; it is served on `{"cmd":"stats"}` and
-//!   emitted as a final line at EOF.
+//!   and reports p50/p99 latency over a fixed window of recent requests;
+//!   it is served on `{"cmd":"stats"}` and emitted as a final line at EOF.
 
 use crate::checkpoint::{TrainCheckpoint, TRAIN_STATE_KIND};
 use crate::eval::{score_at, ScoreCtx};
@@ -466,7 +466,10 @@ pub trait ServeScorer {
     }
 }
 
-/// The full HisRES model over a prepared end-of-timeline context.
+/// The full HisRES model over a prepared end-of-timeline context. The
+/// timeline is frozen, so the model's memo encodes it once (on the first
+/// query) and every later batch pays only the query-dependent global stage
+/// and decoder.
 pub struct ModelScorer {
     /// The trained model.
     pub model: HisRes,
@@ -479,14 +482,14 @@ impl ServeScorer for ModelScorer {
         "hisres"
     }
     fn score(&self, queries: &[(u32, u32)]) -> NdArray {
-        score_at(&self.model, &self.ctx, queries) // lint:allow(panic-reachability, no-hot-alloc-reachable): dense scoring re-encodes via the batch path — per-request cost by design, shapes fixed by the loaded checkpoint
+        score_at(&self.model, &self.ctx, queries) // lint:allow(panic-reachability, no-hot-alloc-reachable): dense rows and the per-pair global stage are sized by the request; the local encoding is memoised, shapes fixed by the loaded checkpoint
     }
     fn score_topk(
         &self,
         queries: &[(u32, u32)],
         k: usize,
     ) -> Option<Vec<Option<Vec<(u32, f32)>>>> {
-        Some(crate::eval::score_at_topk(&self.model, &self.ctx, queries, k)) // lint:allow(panic-reachability, no-hot-alloc-reachable): batch result buffers are sized by the request; the just-filled Option expect is local
+        Some(crate::eval::score_at_topk(&self.model, &self.ctx, queries, k)) // lint:allow(panic-reachability, no-hot-alloc-reachable): batch result buffers and the per-pair global stage are sized by the request; the local encoding is memoised
     }
 }
 

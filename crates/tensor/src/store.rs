@@ -11,6 +11,7 @@ use crate::ndarray::NdArray;
 use crate::tensor::Tensor;
 use hisres_util::fsio::{self, EnvelopeError, FaultInjector};
 use hisres_util::impl_json;
+use hisres_util::json::{FromJson, Value};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
@@ -174,12 +175,29 @@ impl ParamStore {
         hisres_util::json::to_string(&Checkpoint { params }).expect("checkpoint serialisation")
     }
 
+    /// Sum of every parameter's [`Tensor::version`]. It grows whenever
+    /// any value is mutated (optimiser steps, [`ParamStore::load_json`],
+    /// [`ParamStore::import_flat`]), so an unchanged sum means unchanged
+    /// parameters — the key of caches derived from them.
+    pub fn version(&self) -> u64 {
+        self.entries.iter().fold(0u64, |acc, (_, t)| acc.wrapping_add(t.version()))
+    }
+
     /// Restores parameter values from [`ParamStore::to_json`] output.
     /// Every registered parameter must be present with a matching shape;
     /// extra entries in the checkpoint are ignored.
     pub fn load_json(&self, json: &str) -> Result<(), CheckpointError> {
-        let ckpt: Checkpoint = hisres_util::json::from_str(json)
+        let v = hisres_util::json::parse(json)
             .map_err(|e| CheckpointError::Malformed(e.to_string()))?;
+        self.load_value(&v)
+    }
+
+    /// [`ParamStore::load_json`] from an already-parsed document, so a
+    /// caller holding the parsed payload (a model checkpoint embeds the
+    /// parameter table) need not serialise and re-parse it.
+    pub fn load_value(&self, v: &Value) -> Result<(), CheckpointError> {
+        let ckpt =
+            Checkpoint::from_json(v).map_err(|e| CheckpointError::Malformed(e.to_string()))?;
         for (name, t) in &self.entries {
             let saved = ckpt
                 .params
@@ -490,6 +508,43 @@ mod tests {
             other.import_grads(&grads[..1]),
             Err(CheckpointError::Malformed(_))
         ));
+    }
+
+    #[test]
+    fn every_mutation_path_bumps_the_version() {
+        use crate::optim::{Adam, Sgd};
+        let mut s = ParamStore::new();
+        let w = s.param("w", NdArray::from_vec(vec![1.0, -2.0], &[1, 2]));
+        let json = s.to_json();
+        let flat = s.export_flat();
+        let mut seen = vec![s.version()];
+        let mut bumped = |s: &ParamStore, path: &str| {
+            let v = s.version();
+            assert!(seen.iter().all(|&old| old != v), "{path} left the version at {v}");
+            seen.push(v);
+        };
+        s.load_json(&json).unwrap();
+        bumped(&s, "load_json");
+        s.load_value(&hisres_util::json::parse(&json).unwrap()).unwrap();
+        bumped(&s, "load_value");
+        s.import_flat(&flat).unwrap();
+        bumped(&s, "import_flat");
+        let path = tmp_path("version_file");
+        s.save_file(&path).unwrap();
+        s.load_file(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        bumped(&s, "load_file");
+        w.mul(&w).backward();
+        Adam::new(s.params().cloned().collect(), 0.1).step();
+        bumped(&s, "Adam::step");
+        w.mul(&w).backward();
+        Sgd::new(s.params().cloned().collect(), 0.1).step();
+        bumped(&s, "Sgd::step");
+        // reads, serialisation and gradient bookkeeping leave it alone
+        let before = s.version();
+        let _ = (s.to_json(), s.export_flat(), s.export_grads(), s.num_scalars());
+        s.zero_grad();
+        assert_eq!(s.version(), before);
     }
 
     #[test]

@@ -61,6 +61,7 @@ type BackFn = Box<dyn Fn(&NdArray) -> Vec<Option<NdArray>>>;
 pub(crate) struct Inner {
     id: u64,
     value: RefCell<NdArray>,
+    version: Cell<u64>,
     grad: RefCell<Option<NdArray>>,
     requires_grad: bool,
     parents: Vec<Tensor>,
@@ -95,6 +96,7 @@ impl Tensor {
             inner: Rc::new(Inner {
                 id: next_id(),
                 value: RefCell::new(value),
+                version: Cell::new(0),
                 grad: RefCell::new(None),
                 requires_grad: true,
                 parents: Vec::new(),
@@ -109,6 +111,7 @@ impl Tensor {
             inner: Rc::new(Inner {
                 id: next_id(),
                 value: RefCell::new(value),
+                version: Cell::new(0),
                 grad: RefCell::new(None),
                 requires_grad: false,
                 parents: Vec::new(),
@@ -133,6 +136,7 @@ impl Tensor {
             inner: Rc::new(Inner {
                 id: next_id(),
                 value: RefCell::new(value),
+                version: Cell::new(0),
                 grad: RefCell::new(None),
                 requires_grad: true,
                 parents,
@@ -163,8 +167,17 @@ impl Tensor {
     }
 
     /// Mutably borrows the value (used by optimisers on leaf parameters).
+    /// The only path that mutates a value, so it bumps [`Tensor::version`].
     pub fn value_mut(&self) -> std::cell::RefMut<'_, NdArray> {
+        self.inner.version.set(self.inner.version.get().wrapping_add(1));
         self.inner.value.borrow_mut()
+    }
+
+    /// How many times the value has been mutably borrowed (PyTorch's
+    /// `_version`): equal versions mean an unchanged value, which is what
+    /// caches derived from parameters key on.
+    pub fn version(&self) -> u64 {
+        self.inner.version.get()
     }
 
     /// `(rows, cols)` of the value.
@@ -338,6 +351,17 @@ mod tests {
         y.backward();
         // d/dp of (c * p) with c = detached value 2 is 2, not 4.
         assert_eq!(p.grad().unwrap().item(), 2.0);
+    }
+
+    #[test]
+    fn value_mut_bumps_the_version() {
+        let p = Tensor::param(NdArray::scalar(1.0));
+        assert_eq!(p.version(), 0);
+        let _ = p.value();
+        let _ = p.mul(&p);
+        assert_eq!(p.version(), 0, "reads must not bump the version");
+        p.value_mut().as_mut_slice()[0] = 2.0;
+        assert_eq!(p.version(), 1);
     }
 
     #[test]

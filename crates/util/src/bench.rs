@@ -222,14 +222,21 @@ impl Bencher {
     }
 }
 
+/// Samples a [`LatencyRecorder`] keeps: percentiles describe the most
+/// recent `LATENCY_WINDOW` requests. Larger than any one bench stage
+/// records, so their percentiles cover every sample.
+pub const LATENCY_WINDOW: usize = 4096;
+
 /// Online latency accumulator for serving stats: records per-request
-/// durations and answers nearest-rank percentile queries (p50/p99).
-/// Samples are kept raw (one `f64` per request) — a serving process doing
-/// millions of requests should window or reset this periodically, which
-/// [`LatencyRecorder::reset`] supports.
+/// durations and answers nearest-rank percentile queries (p50/p99) over
+/// the last [`LATENCY_WINDOW`] samples. The window is a ring of fixed
+/// capacity, so a long-running server's stats use constant memory and
+/// [`LatencyRecorder::record_ms`] allocates nothing once warm.
 #[derive(Clone, Debug, Default)]
 pub struct LatencyRecorder {
     samples_ms: Vec<f64>,
+    /// Ring slot the next sample overwrites once the window is full.
+    next: usize,
 }
 
 impl LatencyRecorder {
@@ -243,20 +250,28 @@ impl LatencyRecorder {
         self.record_ms(d.as_secs_f64() * 1e3);
     }
 
-    /// Records one request latency in milliseconds.
+    /// Records one request latency in milliseconds, evicting the oldest
+    /// sample once the window is full.
     pub fn record_ms(&mut self, ms: f64) {
-        if ms.is_finite() && ms >= 0.0 {
+        if !(ms.is_finite() && ms >= 0.0) {
+            return;
+        }
+        if self.samples_ms.len() < LATENCY_WINDOW {
+            self.samples_ms.reserve_exact(LATENCY_WINDOW - self.samples_ms.len());
             self.samples_ms.push(ms);
+        } else {
+            self.samples_ms[self.next] = ms;
+            self.next = (self.next + 1) % LATENCY_WINDOW;
         }
     }
 
-    /// Number of recorded samples.
+    /// Number of samples in the window.
     pub fn count(&self) -> usize {
         self.samples_ms.len()
     }
 
-    /// Nearest-rank percentile in milliseconds (`p` in `0.0..=100.0`);
-    /// `None` when nothing has been recorded.
+    /// Nearest-rank percentile in milliseconds (`p` in `0.0..=100.0`) over
+    /// the window; `None` when nothing has been recorded.
     pub fn percentile_ms(&self, p: f64) -> Option<f64> {
         if self.samples_ms.is_empty() {
             return None;
@@ -271,6 +286,7 @@ impl LatencyRecorder {
     /// Discards all samples (windowed serving stats).
     pub fn reset(&mut self) {
         self.samples_ms.clear();
+        self.next = 0;
     }
 }
 
@@ -387,5 +403,30 @@ mod tests {
         assert_eq!(l.count(), 1);
         l.reset();
         assert_eq!(l.count(), 0);
+    }
+
+    #[test]
+    fn latency_recorder_keeps_a_fixed_window() {
+        let mut l = LatencyRecorder::new();
+        l.record_ms(1.0);
+        let (buf, cap) = (l.samples_ms.as_ptr(), l.samples_ms.capacity());
+        assert_eq!(cap, LATENCY_WINDOW, "the first sample reserves the whole window");
+        // a full window of slow samples, then a full window of 1..=N ms
+        for _ in 0..LATENCY_WINDOW {
+            l.record_ms(1e6);
+        }
+        for i in 1..=LATENCY_WINDOW {
+            l.record_ms(i as f64);
+        }
+        assert_eq!(l.count(), LATENCY_WINDOW);
+        assert_eq!((l.samples_ms.as_ptr(), l.samples_ms.capacity()), (buf, cap));
+        // every slow sample has been evicted: percentiles see only 1..=N
+        let n = LATENCY_WINDOW as f64;
+        assert_eq!(l.percentile_ms(0.0), Some(1.0));
+        assert_eq!(l.percentile_ms(50.0), Some(n / 2.0));
+        assert_eq!(l.percentile_ms(100.0), Some(n));
+        l.record_ms(0.5); // evicts the oldest window sample, 1.0
+        assert_eq!(l.percentile_ms(0.0), Some(0.5));
+        assert_eq!(l.percentile_ms(100.0), Some(n));
     }
 }

@@ -45,6 +45,12 @@ echo "dependency guard: OK (path-only workspace)"
 RUSTFLAGS="-D warnings" cargo build --workspace --release --offline
 RUSTFLAGS="-D warnings" cargo test --workspace -q --offline
 
+# The benchmark (perfbench/, a package with its own workspace) calls the
+# public API by path; building it here makes an API change that breaks the
+# benchmark fail verification instead of the next benchmark run.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+echo "benchmark build: OK (perfbench builds against the current API)"
+
 smoke=$(mktemp -d)
 trap 'rm -rf "$smoke"' EXIT
 
