@@ -12,16 +12,19 @@
 //! | Table 4 (ablations) | `... --bin table4` |
 //! | Figure 5(a) (granularity sweep) | `... --bin fig5a` |
 //! | Figure 5(b) (GNN layer sweep) | `... --bin fig5b` |
+//! | Extension: global-graph pruning budget | `... --bin prune_sweep` |
+//! | Extension: multi-step extrapolation decay | `... --bin multistep` |
+//! | Supplement: local history length | `... --bin history_sweep` |
 //!
 //! Each binary prints the paper's reported numbers next to the measured
 //! ones. Absolute values are not comparable (the paper trains `d = 200`
 //! models on the real ICEWS/GDELT datasets on A800 GPUs; we train small
 //! models on synthetic analogs on CPU) — the claim under test is the
 //! *shape*: who wins, which components matter, where the sweet spots lie.
+//! `scripts/run_experiments.sh` runs them all into `results/`.
 //!
-//! Criterion microbenches (`cargo bench -p hisres-bench`) cover the hot
-//! operators, the three global aggregators (the Table 4 part-3 runtime
-//! trade-off), and an end-to-end training step.
+//! Performance is measured by the repository benchmark in `perfbench/`,
+//! not here.
 
 pub mod harness;
 pub mod paper;

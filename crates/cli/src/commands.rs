@@ -2,7 +2,7 @@
 
 use crate::args::Args;
 use hisres::serve::{
-    install_term_handler, load_servable_model, serve_concurrent, serve_lines, serve_tcp,
+    install_term_handler, load_servable_model, serve_concurrent, serve_lines,
     ModelScorer, ServeConfig, ServerConfig,
     ServeEngine, SessionScorer,
 };
@@ -145,7 +145,6 @@ pub fn train_cmd(args: &Args) -> CmdResult {
     // distributed options (all ignored without --distributed)
     let distributed = args.flag("distributed");
     let dist_workers = args.get_parse("workers", 2usize)?;
-    let staleness = args.get_parse("staleness", 0usize)?;
     let on_loss: LossPolicy = args.get("on-worker-loss").unwrap_or("respawn").parse()?;
     let heartbeat_ms = args.get_parse("heartbeat-ms", 250u64)?;
     let heartbeat_timeout_ms = args.get_parse("heartbeat-timeout-ms", 2_000u64)?;
@@ -206,7 +205,6 @@ pub fn train_cmd(args: &Args) -> CmdResult {
         }
         let dc = DistConfig {
             workers: dist_workers,
-            staleness,
             on_loss,
             heartbeat: HeartbeatConfig {
                 interval: std::time::Duration::from_millis(heartbeat_ms.max(1)),
@@ -220,7 +218,7 @@ pub fn train_cmd(args: &Args) -> CmdResult {
         };
         let dr = train_distributed(&model, &data, &tc, &opts, &dc)?;
         for ev in &dr.worker_losses {
-            // one line per incident, parsed by `bench.sh --dist`
+            // one line per incident, parsed by verify.sh's distributed smoke test
             eprintln!(
                 "dist: worker {} recovered in {} ms via {} ({})",
                 ev.worker, ev.recovered_ms, ev.action, ev.cause
@@ -378,6 +376,9 @@ pub fn serve_cmd(args: &Args) -> CmdResult {
     if !batch_window_ms.is_finite() || batch_window_ms < 0.0 {
         return Err("--batch-window-ms must be a non-negative number".into());
     }
+    if workers == 0 {
+        return Err("--workers must be at least 1".into());
+    }
     if max_queue == 0 {
         return Err("--max-queue must be at least 1".into());
     }
@@ -530,23 +531,18 @@ pub fn serve_cmd(args: &Args) -> CmdResult {
         Some(addr) => {
             let listener = std::net::TcpListener::bind(&addr)?;
             eprintln!("listening on {}", listener.local_addr()?);
-            if workers == 0 {
-                // legacy strictly-sequential transport
-                serve_tcp(&engine, &listener, max_conns)?;
-            } else {
-                let server_cfg = ServerConfig {
-                    workers,
-                    max_queue,
-                    batch_window_ms,
-                    max_connections: max_conns,
-                    max_ingest_queue,
-                };
-                eprintln!(
-                    "concurrent front end: {workers} worker(s), queue depth {max_queue}, \
-                     batch window {batch_window_ms} ms"
-                );
-                serve_concurrent(&engine, listener, &server_cfg)?;
-            }
+            let server_cfg = ServerConfig {
+                workers,
+                max_queue,
+                batch_window_ms,
+                max_connections: max_conns,
+                max_ingest_queue,
+            };
+            eprintln!(
+                "concurrent front end: {workers} worker(s), queue depth {max_queue}, \
+                 batch window {batch_window_ms} ms"
+            );
+            serve_concurrent(&engine, listener, &server_cfg)?;
         }
         None => {
             let stdin = std::io::stdin();

@@ -39,8 +39,7 @@ COMMANDS:
              [--distributed]  train across worker processes; sync mode is
              byte-identical to single-process on the same seed, and stays
              byte-identical when a worker dies mid-epoch and is respawned
-             [--workers N=2] [--staleness K=0]  K>0 keeps K+1 steps in
-             flight (faster, documented divergence; see EXPERIMENTS.md)
+             [--workers N=2]
              [--on-worker-loss respawn|redistribute|abort=respawn]
              [--heartbeat-ms N=250] [--heartbeat-timeout-ms N=2000]
              [--step-timeout-ms N=60000] [--max-respawns N=3]
@@ -57,8 +56,7 @@ COMMANDS:
              serving is concurrent: --workers connection workers share a
              bounded request queue; queries are coalesced into batched
              scorer passes (bit-identical per query) and rejected with a
-             typed \"overloaded\" error when the queue is full
-             (--workers 0 restores the sequential loop).
+             typed \"overloaded\" error when the queue is full.
              With --wal FILE the timeline is live: {\"cmd\": \"ingest\",
              \"seq\": N, \"quads\": [[S,R,O],...]} durably appends new
              events behind a fsync'd write-ahead log and advances the

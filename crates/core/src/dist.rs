@@ -13,12 +13,9 @@
 //! [`crate::trainer::step_loss`] kernel the single-process trainer runs,
 //! and returns the loss, pre-clip gradient norm, advanced RNG state and
 //! clipped gradients. The coordinator replays its divergence-guard logic
-//! on the reported values and applies the Adam step locally. Sync mode
-//! (`staleness = 0`) relays the RNG through every step, making the run
-//! byte-identical to `train_with` by construction; bounded-staleness
-//! async mode (`staleness ≥ 1`) keeps up to `staleness + 1` steps in
-//! flight with per-step derived RNG streams and documents its divergence
-//! in EXPERIMENTS.md.
+//! on the reported values and applies the Adam step locally. One step is
+//! in flight at a time and the RNG is relayed through every step, making
+//! the run byte-identical to `train_with` by construction.
 //!
 //! # Robustness
 //!
@@ -50,8 +47,7 @@ use hisres_util::fsio::FaultInjector;
 use hisres_util::pool;
 use hisres_util::retry::{BackoffPolicy, JitterPolicy};
 use hisres_util::rng::rngs::StdRng;
-use hisres_util::rng::{splitmix64, SeedableRng};
-use std::collections::{BTreeMap, VecDeque};
+use hisres_util::rng::SeedableRng;
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -93,9 +89,6 @@ impl std::str::FromStr for LossPolicy {
 pub struct DistConfig {
     /// Worker processes to spawn.
     pub workers: usize,
-    /// Bounded staleness: `0` is barrier-sync (byte-identical to
-    /// single-process); `k ≥ 1` keeps `k + 1` steps in flight.
-    pub staleness: usize,
     /// Reaction to a lost worker.
     pub on_loss: LossPolicy,
     /// Heartbeat cadence and lease timeout.
@@ -120,7 +113,6 @@ impl Default for DistConfig {
     fn default() -> Self {
         DistConfig {
             workers: 2,
-            staleness: 0,
             on_loss: LossPolicy::Respawn,
             heartbeat: HeartbeatConfig::default(),
             step_timeout: Duration::from_secs(60),
@@ -175,7 +167,7 @@ pub struct WorkerConfig {
     pub verbose: bool,
 }
 
-/// One delegated step awaiting its result.
+/// The delegated step awaiting its result.
 struct Pending {
     t: usize,
     slot: usize,
@@ -210,6 +202,8 @@ struct Coordinator<'a> {
     events: Vec<WorkerLossEvent>,
     respawns: usize,
     dispatch_counter: u64,
+    /// The one delegated step awaiting its result, if any.
+    in_flight: Option<Pending>,
     verbose: bool,
 }
 
@@ -273,6 +267,7 @@ impl<'a> Coordinator<'a> {
             events: Vec::new(),
             respawns: 0,
             dispatch_counter: 0,
+            in_flight: None,
             verbose: tc.verbose,
         };
         for id in 0..dc.workers as u32 {
@@ -424,12 +419,7 @@ impl<'a> Coordinator<'a> {
 
     /// Assigns `msg` to the next alive worker in deterministic round-robin
     /// order, recovering through the loss policy until a send succeeds.
-    fn dispatch(
-        &mut self,
-        t: usize,
-        msg: Msg,
-        pending: &mut VecDeque<Pending>,
-    ) -> Result<(), TrainError> {
+    fn dispatch(&mut self, t: usize, msg: Msg) -> Result<(), TrainError> {
         loop {
             let alive = self.alive_slots();
             if alive.is_empty() {
@@ -439,11 +429,11 @@ impl<'a> Coordinator<'a> {
             match self.send_to(slot, &msg) {
                 Ok(()) => {
                     self.dispatch_counter += 1;
-                    pending.push_back(Pending { t, slot, msg });
+                    self.in_flight = Some(Pending { t, slot, msg });
                     return Ok(());
                 }
                 Err(e) => {
-                    self.handle_loss(slot, format!("assign send failed: {e}"), pending)?;
+                    self.handle_loss(slot, format!("assign send failed: {e}"))?;
                 }
             }
         }
@@ -451,14 +441,9 @@ impl<'a> Coordinator<'a> {
 
     /// The failure funnel: every detected fault ends up here. Kills the
     /// worker's remains and applies the loss policy; on recovery,
-    /// re-dispatches the slot's in-flight assignments (whose saved
+    /// re-dispatches the slot's in-flight assignment (whose saved
     /// parameters + RNG state make the redo byte-identical).
-    fn handle_loss(
-        &mut self,
-        idx: usize,
-        cause: String,
-        pending: &mut VecDeque<Pending>,
-    ) -> Result<(), TrainError> {
+    fn handle_loss(&mut self, idx: usize, cause: String) -> Result<(), TrainError> {
         let started = Instant::now();
         let id = self.slots[idx].id;
         if self.verbose {
@@ -492,7 +477,7 @@ impl<'a> Coordinator<'a> {
                 self.spawn_slot(idx, false)?;
                 let deadline = Instant::now() + self.join_timeout();
                 self.wait_slot_ready(idx, deadline)?;
-                self.redispatch(idx, idx, pending)?;
+                self.redispatch(idx)?;
                 "respawn"
             }
             LossPolicy::Redistribute => {
@@ -504,55 +489,45 @@ impl<'a> Coordinator<'a> {
                         cause: format!("{cause}; no surviving workers to redistribute to"),
                     });
                 }
-                // deterministic re-shard: in-flight steps go round-robin
-                // over the survivors, continuing the dispatch counter
-                let owned: Vec<usize> = pending
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, p)| p.slot == idx)
-                    .map(|(i, _)| i)
-                    .collect();
-                for pi in owned {
+                // deterministic re-shard: the in-flight step goes to the
+                // next survivor, continuing the dispatch counter
+                let owned = self.in_flight.as_ref().filter(|p| p.slot == idx);
+                if let Some(msg) = owned.map(|p| p.msg.clone()) {
                     let target =
                         survivors[(self.dispatch_counter % survivors.len() as u64) as usize];
                     self.dispatch_counter += 1;
-                    let msg = pending[pi].msg.clone();
                     self.send_to(target, &msg).map_err(|e| {
                         sup(format!("redistributing step to worker {target} failed: {e}"))
                     })?;
-                    pending[pi].slot = target;
+                    if let Some(p) = self.in_flight.as_mut() {
+                        p.slot = target;
+                    }
                 }
                 "redistribute"
             }
         };
         let recovered_ms = started.elapsed().as_millis() as u64;
         if self.verbose {
-            eprintln!("dist: worker {id} recovered in {recovered_ms} ms ({action})"); // lint:allow(no-debug-leftovers): operator-facing supervision log, parsed by the dist bench
+            eprintln!("dist: worker {id} recovered in {recovered_ms} ms ({action})"); // lint:allow(no-debug-leftovers): operator-facing supervision log, gated by verbosity
         }
         self.events.push(WorkerLossEvent { worker: id, cause, action, recovered_ms });
         Ok(())
     }
 
-    /// Re-sends every pending assignment owned by `owner_idx` to
-    /// `target_idx`, preserving dispatch order (per-connection TCP
-    /// ordering then guarantees results arrive re-orderably).
-    fn redispatch(
-        &mut self,
-        owner_idx: usize,
-        target_idx: usize,
-        pending: &mut VecDeque<Pending>,
-    ) -> Result<(), TrainError> {
-        for p in pending.iter_mut().filter(|p| p.slot == owner_idx) {
-            self.send_to(target_idx, &p.msg)
+    /// Re-sends the in-flight assignment to the respawned worker in slot
+    /// `idx`, if that slot owned it.
+    fn redispatch(&mut self, idx: usize) -> Result<(), TrainError> {
+        let owned = self.in_flight.as_ref().filter(|p| p.slot == idx);
+        if let Some(msg) = owned.map(|p| p.msg.clone()) {
+            self.send_to(idx, &msg)
                 .map_err(|e| sup(format!("re-dispatch to respawned worker failed: {e}")))?;
-            p.slot = target_idx;
         }
         Ok(())
     }
 
     /// Sweeps all passive failure signals: exited children and expired
     /// heartbeat leases. Returns whether any loss was handled.
-    fn sweep_failures(&mut self, pending: &mut VecDeque<Pending>) -> Result<bool, TrainError> {
+    fn sweep_failures(&mut self) -> Result<bool, TrainError> {
         let mut handled = false;
         for idx in 0..self.slots.len() {
             if !self.slots[idx].enabled {
@@ -567,7 +542,7 @@ impl<'a> Coordinator<'a> {
                 None => None,
             };
             if let Some(cause) = exited {
-                self.handle_loss(idx, cause, pending)?;
+                self.handle_loss(idx, cause)?;
                 handled = true;
             }
         }
@@ -581,7 +556,6 @@ impl<'a> Coordinator<'a> {
                 self.handle_loss(
                     idx,
                     format!("heartbeat silent for {silent:?} (timeout {:?})", self.dc.heartbeat.timeout),
-                    pending,
                 )?;
                 handled = true;
             }
@@ -590,27 +564,18 @@ impl<'a> Coordinator<'a> {
         Ok(handled)
     }
 
-    /// Blocks until step `t`'s result is available, supervising every
-    /// worker while waiting. Out-of-order results (async mode, or after a
-    /// redistribute) are buffered in `buf` by step index.
-    fn await_step(
-        &mut self,
-        t: usize,
-        pending: &mut VecDeque<Pending>,
-        buf: &mut BTreeMap<usize, Done>,
-    ) -> Result<Done, TrainError> {
+    /// Blocks until the in-flight step `t`'s result is available,
+    /// supervising every worker while waiting.
+    fn await_step(&mut self, t: usize) -> Result<Done, TrainError> {
         let mut deadline = Instant::now() + self.dc.step_timeout;
         loop {
-            if let Some(d) = buf.remove(&t) {
-                return Ok(d);
-            }
-            if self.sweep_failures(pending)? {
+            if self.sweep_failures()? {
                 deadline = Instant::now() + self.dc.step_timeout;
                 continue;
             }
-            let owner = match pending.iter().find(|p| p.t == t) {
+            let owner = match self.in_flight.as_ref().filter(|p| p.t == t) {
                 Some(p) => p.slot,
-                None => return Err(sup(format!("step {t} vanished from the pending queue"))),
+                None => return Err(sup(format!("step {t} is not in flight"))),
             };
             let polled = match self.slots.get_mut(owner).and_then(|s| s.ctrl.as_mut()) {
                 Some(conn) => conn.poll_ready(POLL_SLICE),
@@ -624,34 +589,33 @@ impl<'a> Coordinator<'a> {
                             None => Err(WireError::Closed),
                         };
                     match received {
-                        Ok(Msg::StepDone { step, loss_bits, pre_clip_bits, rng, grads, .. }) => {
-                            buf.insert(
-                                step as usize,
-                                Done { loss_bits, pre_clip_bits, rng, grads },
-                            );
+                        Ok(Msg::StepDone { step, loss_bits, pre_clip_bits, rng, grads, .. })
+                            if step as usize == t =>
+                        {
+                            self.in_flight = None;
+                            return Ok(Done { loss_bits, pre_clip_bits, rng, grads });
                         }
                         Ok(other) => {
                             self.handle_loss(
                                 owner,
                                 format!("unexpected {} on the control connection", other.name()),
-                                pending,
                             )?;
                             deadline = Instant::now() + self.dc.step_timeout;
                         }
                         Err(e) => {
-                            self.handle_loss(owner, format!("wire fault: {e}"), pending)?;
+                            self.handle_loss(owner, format!("wire fault: {e}"))?;
                             deadline = Instant::now() + self.dc.step_timeout;
                         }
                     }
                 }
                 Ok(false) => {}
                 Err(e) => {
-                    self.handle_loss(owner, format!("wire fault: {e}"), pending)?;
+                    self.handle_loss(owner, format!("wire fault: {e}"))?;
                     deadline = Instant::now() + self.dc.step_timeout;
                 }
             }
             if Instant::now() >= deadline {
-                self.handle_loss(owner, "step deadline exceeded".into(), pending)?;
+                self.handle_loss(owner, "step deadline exceeded".into())?;
                 deadline = Instant::now() + self.dc.step_timeout;
             }
         }
@@ -704,21 +668,10 @@ fn monitor_heartbeats(mut conn: FramedConn, detector: Arc<FailureDetector>) {
     }
 }
 
-/// The RNG stream for one step in async mode, derived deterministically
-/// from `(seed, epoch, step)`. This is the documented divergence source
-/// vs sync mode: single-process training threads ONE stream through all
-/// steps, which an out-of-order pipeline cannot reproduce.
-fn derived_rng(seed: u64, epoch: usize, t: usize) -> StdRng {
-    let mut s = seed ^ (epoch as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    let a = splitmix64(&mut s);
-    let mut s2 = a ^ (t as u64).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    StdRng::seed_from_u64(splitmix64(&mut s2))
-}
-
 /// Distributed training entry point: spawns and supervises
 /// [`DistConfig::workers`] worker processes and runs the delegated
-/// training loop. In sync mode (`staleness = 0`) the result — report,
-/// parameters, and any saved [`TrainCheckpoint`] — is byte-identical to
+/// training loop. The result — report, parameters, and any saved
+/// [`TrainCheckpoint`] — is byte-identical to
 /// [`crate::trainer::train_with`] on the same inputs, including across
 /// worker crashes and injected wire faults.
 pub fn train_distributed(
@@ -735,8 +688,6 @@ pub fn train_distributed(
     let snaps = snapshots_of(&data.train); // lint:allow(panic-reachability): training-prep runs before serving; snapshot math asserts are programming-error guards
     let no_faults = FaultInjector::none();
     let faults = opts.faults.unwrap_or(&no_faults);
-    let sync = dc.staleness == 0;
-    let depth = dc.staleness + 1;
 
     let mut report = TrainReport::default();
     let mut best_ckpt: Option<String> = None;
@@ -779,46 +730,25 @@ pub fn train_distributed(
             .filter(|&t| !snaps[t].triples.is_empty())
             .collect();
         coord.dispatch_counter = 0;
-        let mut next = 0usize;
-        let mut pending: VecDeque<Pending> = VecDeque::new();
-        let mut done_buf: BTreeMap<usize, Done> = BTreeMap::new();
 
-        while next < work.len() || !pending.is_empty() {
-            while next < work.len() && pending.len() < depth {
-                let t = work[next];
-                let rng_words = if sync {
-                    rng.state()
-                } else {
-                    derived_rng(tc.seed, epoch, t).state()
-                };
-                let msg = Msg::Assign {
-                    epoch: epoch as u32,
-                    step: t as u32,
-                    rng: rng_words,
-                    params: model.store.export_flat(),
-                };
-                coord.dispatch(t, msg, &mut pending)?;
-                next += 1;
-            }
-
-            let front_t = match pending.front() {
-                Some(p) => p.t,
-                None => break,
+        for &t in &work {
+            let msg = Msg::Assign {
+                epoch: epoch as u32,
+                step: t as u32,
+                rng: rng.state(),
+                params: model.store.export_flat(),
             };
-            let done = coord.await_step(front_t, &mut pending, &mut done_buf)?;
-            pending.pop_front();
-            let t = front_t;
+            coord.dispatch(t, msg)?;
+            let done = coord.await_step(t)?;
 
             let lv = f32::from_bits(done.loss_bits);
-            if sync {
-                // adopt the worker's advanced RNG stream — exactly what
-                // running the step locally would have left behind
-                rng = StdRng::from_state(done.rng).ok_or_else(|| {
-                    TrainError::Comms(WireError::Protocol(
-                        "worker returned the all-zero RNG state".into(),
-                    ))
-                })?;
-            }
+            // adopt the worker's advanced RNG stream — exactly what
+            // running the step locally would have left behind
+            rng = StdRng::from_state(done.rng).ok_or_else(|| {
+                TrainError::Comms(WireError::Protocol(
+                    "worker returned the all-zero RNG state".into(),
+                ))
+            })?;
             let pre_clip = f32::from_bits(done.pre_clip_bits);
             let mut tripped: Option<GuardKind> = None;
             if !lv.is_finite() {
@@ -1141,16 +1071,6 @@ mod tests {
         assert_eq!("redistribute".parse(), Ok(LossPolicy::Redistribute));
         assert_eq!("abort".parse(), Ok(LossPolicy::Abort));
         assert!("explode".parse::<LossPolicy>().is_err());
-    }
-
-    #[test]
-    fn derived_rng_is_deterministic_and_distinct() {
-        let a = derived_rng(7, 0, 3).state();
-        let b = derived_rng(7, 0, 3).state();
-        assert_eq!(a, b);
-        assert_ne!(a, derived_rng(7, 0, 4).state());
-        assert_ne!(a, derived_rng(7, 1, 3).state());
-        assert_ne!(a, derived_rng(8, 0, 3).state());
     }
 
     #[test]

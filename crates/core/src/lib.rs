@@ -76,7 +76,7 @@ pub use ingest::{IngestError, IngestOutcome, IngestSession, IngestSessionConfig}
 pub use model::{Encoded, EncoderState, HisRes};
 pub use multistep::evaluate_multistep;
 pub use serve::{
-    error_line, load_servable_model, parse_request, serve_concurrent, serve_lines, serve_tcp,
+    error_line, load_servable_model, parse_request, serve_concurrent, serve_lines,
     IngestRequest, ModelScorer, QueryRequest, Reply, Request, ServeConfig, ServeEngine,
     ServeError, ServeScorer, ServeStats, ServerConfig, SessionScorer, SymbolRef,
 };

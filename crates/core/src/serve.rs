@@ -1265,36 +1265,6 @@ pub fn serve_lines(
     output.flush()
 }
 
-/// Legacy single-client TCP front end over [`serve_lines`]: serves one
-/// connection at a time to completion (`--workers 0`). The concurrent
-/// multi-client front end is [`serve_concurrent`]; this loop is kept as
-/// the zero-thread escape hatch and for tests that want strictly
-/// sequential semantics. A connection-level I/O error is logged and the
-/// next connection served; `max_connections` bounds the loop for tests.
-pub fn serve_tcp(
-    engine: &ServeEngine,
-    listener: &std::net::TcpListener,
-    max_connections: Option<usize>,
-) -> std::io::Result<()> {
-    let mut served = 0usize;
-    for stream in listener.incoming() {
-        let stream = stream?;
-        let peer = stream
-            .peer_addr()
-            .map(|a| a.to_string())
-            .unwrap_or_else(|_| "<unknown>".into());
-        let reader = std::io::BufReader::new(stream.try_clone()?);
-        if let Err(e) = serve_lines(engine, reader, &stream) {
-            eprintln!("serve: connection {peer} dropped: {e}"); // lint:allow(no-debug-leftovers): operational log of a dropped TCP connection, not debug output
-        }
-        served += 1;
-        if max_connections.is_some_and(|max| served >= max) {
-            break;
-        }
-    }
-    Ok(())
-}
-
 /// Topology knobs for the concurrent TCP front end.
 #[derive(Clone, Copy, Debug)]
 pub struct ServerConfig {

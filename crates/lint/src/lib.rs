@@ -338,7 +338,7 @@ pub fn run(root: &Path, opts: &Options) -> std::io::Result<Report> {
 
 /// Validates a previously emitted `--json` report against the
 /// [`REPORT_SCHEMA`] layout, so downstream tooling can rely on the
-/// shape (mirrors the `kernels --check` pattern for BENCH_kernels.json).
+/// shape.
 pub fn check_report(text: &str) -> Result<(), String> {
     let v = hisres_util::json::parse(text).map_err(|e| format!("not valid JSON: {e}"))?;
     let schema = v

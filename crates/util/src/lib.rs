@@ -9,7 +9,7 @@
 //! | [`rng`] | `rand` | seedable xoshiro256\*\* (`StdRng`), `Rng`/`SeedableRng` traits, `gen`/`gen_range`/`gen_bool`/`fill`/`shuffle`, Box–Muller normal sampling |
 //! | [`json`] | `serde` + `serde_json` | `Value` tree, recursive-descent parser, escaping serializer, `ToJson`/`FromJson` traits, `impl_json!` derive-macro stand-in |
 //! | [`check`] | `proptest` | `Strategy` combinators, seeded runner with failing-seed reporting, `props!`/`prop_assert!`/`prop_assume!` macros |
-//! | [`bench`] | `criterion` | warm-up + median-of-N timer with a criterion-shaped builder API and `criterion_group!`/`criterion_main!` |
+//! | [`bench`] | `hdrhistogram` | `LatencyRecorder`: a fixed ring of the last 4,096 request latencies with nearest-rank percentiles, for serving stats |
 //! | [`fsio`] | `tempfile`/`atomicwrites` | atomic temp-file + fsync + rename writes, a versioned + checksummed checkpoint envelope, and scripted fault injection (writes *and* reads) for crash tests |
 //! | [`retry`] | `backoff`/`retry` | bounded retry with deterministic exponential backoff and a caller-supplied transient-error predicate |
 //! | [`pool`] | `rayon` | persistent worker pool (`std::thread` + channels), disjoint-output `par_chunks_mut` partitioning that is bit-identical across thread counts, `HISRES_THREADS`/`--threads` sizing, scoped `with_threads` overrides, named `spawn_service` threads for blocking I/O |

@@ -1,0 +1,126 @@
+#!/usr/bin/env python3
+"""Same-host A/B performance gate: the work tree against its base commit.
+
+The base is HEAD when the work tree differs from it (a change not yet
+committed), else HEAD^ (the last commit is the change). The base is
+extracted with `git archive` into a temporary directory; perfbench is
+built in both trees, and PAIRS interleaved pairs of every BENCHMARK.json
+workload run for SECONDS each, alternating which side runs first. Both
+sides of a pair use the same seed.
+
+The gate fails when a run's outputs are not correct, when the share of
+failed operations rises, or when an end-to-end metric's median on the
+work tree is worse than the base median by more than that metric's
+BENCHMARK.json bound. Both sides run on this host in the same time
+window, so a slower or busier host moves both sides alike.
+
+Run from anywhere inside the repository:
+
+    python3 scripts/perf_ab.py
+"""
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.dont_write_bytecode = True  # keep perfbench/ free of __pycache__
+sys.path.insert(0, str(ROOT / "perfbench"))
+from steady import run_once, summarize  # noqa: E402
+
+PAIRS = 5
+SECONDS = 3
+
+
+def git(*args):
+    return subprocess.run(["git", *args], cwd=ROOT, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def base_commit():
+    dirty = git("status", "--porcelain", "--untracked-files=normal")
+    return git("rev-parse", "--short", "HEAD" if dirty else "HEAD^")
+
+
+def extract(commit, dest):
+    archive = subprocess.Popen(["git", "archive", "--format=tar", commit],
+                               cwd=ROOT, stdout=subprocess.PIPE)
+    subprocess.run(["tar", "-x", "-C", str(dest)], stdin=archive.stdout, check=True)
+    archive.stdout.close()
+    if archive.wait() != 0:
+        sys.exit(f"git archive {commit} failed")
+
+
+def build(tree):
+    """Builds tree's perfbench into tree/perfbench/target; returns the binary."""
+    manifest = tree / "perfbench" / "Cargo.toml"
+    target = tree / "perfbench" / "target"
+    env = dict(os.environ, CARGO_TARGET_DIR=str(target))
+    subprocess.run(["cargo", "build", "--release", "--offline", "--quiet",
+                    "--manifest-path", str(manifest)], env=env, check=True)
+    return str(target / "release" / "perfbench")
+
+
+def worse_by(metric, base, work):
+    """How much worse work is than base, as a share of base."""
+    delta = work - base if metric["better"] == "lower" else base - work
+    if base == 0:
+        return float("inf") if delta > 0 else 0.0
+    return delta / base
+
+
+def main():
+    with open(ROOT / "BENCHMARK.json") as f:
+        bench = json.load(f)
+    workloads = [w["name"] for w in bench["workloads"]]
+    metrics = bench["end_to_end"]
+    base = base_commit()
+
+    with tempfile.TemporaryDirectory(prefix="perf_ab-") as tmp:
+        base_tree = Path(tmp)
+        extract(base, base_tree)
+        sides = {"base": build(base_tree), "work": build(ROOT)}
+        print(f"perf A/B: work tree vs {base}, {PAIRS} pairs x {SECONDS} s per workload",
+              flush=True)
+        runs = {(side, w): [] for side in sides for w in workloads}
+        for i in range(PAIRS):
+            order = ["base", "work"] if i % 2 == 0 else ["work", "base"]
+            for w in workloads:
+                for side in order:
+                    cmd = {"command": [sides[side]]}
+                    runs[(side, w)].append(run_once(cmd, w, 1 + i, SECONDS))
+            print(f"# pair {i + 1}/{PAIRS} done", flush=True)
+
+    problems = []
+    for w in workloads:
+        print(f"\n{w}")
+        print(f"  {'metric':<16}{'base':>12}{'work':>12}{'worse':>9}{'bound':>7}")
+        shares = {}
+        for side in sides:
+            rs = runs[(side, w)]
+            shares[side] = sum(r["failed"] for r in rs) / max(1, sum(r["attempted"] for r in rs))
+        if shares["work"] > shares["base"]:
+            problems.append(f"{w}: failed share rose from {shares['base']:.4f} "
+                            f"to {shares['work']:.4f}")
+        for m in metrics:
+            name = m["name"]
+            med = {side: summarize([r["metrics"][name]["value"] for r in runs[(side, w)]])[0]
+                   for side in sides}
+            worse = worse_by(m, med["base"], med["work"])
+            flag = ""
+            if worse > m["bound"]:
+                flag = "  WORSE"
+                problems.append(f"{w} {name}: median worse by {worse:.3f} > bound {m['bound']}")
+            print(f"  {name:<16}{med['base']:>12.5g}{med['work']:>12.5g}"
+                  f"{worse:>+9.3f}{m['bound']:>7}{flag}")
+    if problems:
+        print("\nperf A/B: FAIL\n  " + "\n  ".join(problems))
+        sys.exit(1)
+    print(f"\nperf A/B: OK (no end-to-end metric worse than its bound vs {base})")
+
+
+if __name__ == "__main__":
+    main()

@@ -1,12 +1,12 @@
 //! End-to-end tests of the serving subsystem: request validation,
 //! deadline degradation, panic isolation with poisoning, stats
-//! accounting, retrying checkpoint loads, both transports, and the
-//! concurrent front end (interleaved clients, admission-control
+//! accounting, retrying checkpoint loads, the stdin/stdout transport, and
+//! the concurrent TCP front end (interleaved clients, admission-control
 //! backpressure, shutdown draining).
 
 use hisres::serve::{
-    load_servable_model, serve_concurrent, serve_lines, serve_tcp, ModelScorer, ServeConfig,
-    ServeEngine, ServeScorer, ServerConfig,
+    load_servable_model, serve_concurrent, serve_lines, ModelScorer, ServeConfig, ServeEngine,
+    ServeScorer, ServerConfig,
 };
 use hisres::{HisRes, HisResConfig, ScoreCtx, TrainCheckpoint};
 use hisres_baselines::FrequencyScorer;
@@ -284,23 +284,44 @@ fn tcp_transport_round_trips_and_survives_client_hangup() {
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
 
-    let client = std::thread::spawn(move || {
+    let clients = std::thread::spawn(move || {
         let mut stream = std::net::TcpStream::connect(addr).unwrap();
-        stream.write_all(b"{\"s\": 1, \"r\": 0, \"topk\": 2}\n").unwrap();
+        stream
+            .write_all(b"{\"s\": 1, \"r\": 0, \"topk\": 2}\n")
+            .unwrap();
         let mut reader = BufReader::new(stream.try_clone().unwrap());
         let mut reply = String::new();
         reader.read_line(&mut reply).unwrap();
-        // hang up without a clean shutdown — the server must survive
-        reply
+        // a second query whose reply (and the final stats line) is never
+        // read: hang up without a clean shutdown — the server must survive
+        stream
+            .write_all(b"{\"s\": 2, \"r\": 0, \"topk\": 2}\n")
+            .unwrap();
+        drop((reader, stream));
+        // with one connection worker, this client is only served once the
+        // hung-up connection has been fully released
+        let after = run_client(addr, vec!["{\"s\": 3, \"r\": 0, \"topk\": 2}".into()], None);
+        (reply, after)
     });
 
-    // the engine is deliberately !Send, so the server runs on the main
-    // thread and the client on the spawned one
-    serve_tcp(&engine, &listener, Some(1)).unwrap();
-    let reply = client.join().unwrap();
+    // the engine is deliberately !Send, so the batcher runs on the main
+    // thread and the clients on the spawned one
+    let cfg = ServerConfig {
+        workers: 1,
+        max_connections: Some(2),
+        ..ServerConfig::default()
+    };
+    serve_concurrent(&engine, listener, &cfg).unwrap();
+    let (reply, after) = clients.join().unwrap();
     let v = json::parse(reply.trim()).unwrap();
     assert!(is_ok(&v), "{v:?}");
-    assert_eq!(engine.stats().ok, 1);
+    assert_eq!(
+        after.len(),
+        2,
+        "one reply plus the final stats line: {after:?}"
+    );
+    assert!(is_ok(&after[0]), "{:?}", after[0]);
+    assert!(engine.stats().ok >= 2, "{:?}", engine.stats());
 }
 
 /// A full scorer that takes a fixed wall-clock time per call — drives
