@@ -149,13 +149,12 @@ impl TrainCheckpoint {
 
     /// Loads and verifies a state file written by [`TrainCheckpoint::save`].
     pub fn load(path: impl AsRef<std::path::Path>) -> Result<TrainCheckpoint, CheckpointError> {
-        let text = std::fs::read_to_string(path)?;
-        Self::load_text(&text)
+        Self::load_bytes(&std::fs::read(path)?)
     }
 
     /// [`TrainCheckpoint::load`] from already-read file contents.
-    pub fn load_text(text: &str) -> Result<TrainCheckpoint, CheckpointError> {
-        let payload = fsio::open(text, TRAIN_STATE_KIND)?;
+    pub fn load_bytes(file: &[u8]) -> Result<TrainCheckpoint, CheckpointError> {
+        let payload = fsio::open(file, TRAIN_STATE_KIND)?;
         json::from_str(payload).map_err(|e| CheckpointError::Malformed(e.to_string()))
     }
 

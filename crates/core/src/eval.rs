@@ -328,10 +328,60 @@ fn pair_graph(model: &HisRes, global: &GlobalHistoryIndex, pair: (u32, u32)) -> 
     }
 }
 
+/// The entity table each pair's decoder reads: eval-mode
+/// [`HisRes::encode_global_with`] of the local encoding, to the bit,
+/// without running the global stage over every entity. A pair whose graph
+/// is empty reads the local encoding itself; any other pair reads one
+/// reused copy of the edge-free base ([`HisRes::global_base`]) with the rows
+/// its graph reaches ([`HisRes::global_rows`]) written in, and the rows the
+/// previous pair wrote put back.
+struct PairTables<'a> {
+    model: &'a HisRes,
+    local: &'a Encoded,
+    table: Option<Encoded>,
+    /// The rows the last pair wrote into `table`.
+    nodes: Vec<u32>,
+}
+
+impl<'a> PairTables<'a> {
+    fn new(model: &'a HisRes, local: &'a Encoded) -> Self {
+        PairTables {
+            model,
+            local,
+            table: None,
+            nodes: Vec::new(),
+        }
+    }
+
+    fn encode(&mut self, graph: EdgeList) -> &Encoded {
+        if let Some(table) = &self.table {
+            let base = self.model.global_base(self.local);
+            let mut t = table.entities.value_mut();
+            for n in self.nodes.drain(..) {
+                t.row_mut(n as usize).copy_from_slice(base.row(n as usize));
+            }
+        }
+        let Some(rows) = self.model.global_rows(self.local, graph, &mut self.nodes) else {
+            return self.local;
+        };
+        let base = self.model.global_base(self.local);
+        let table = self
+            .table
+            .get_or_insert_with(|| self.local.with_entities(base.clone()));
+        let (rows, mut t) = (rows.value(), table.entities.value_mut());
+        for (i, &n) in self.nodes.iter().enumerate() {
+            t.row_mut(n as usize).copy_from_slice(rows.row(i));
+        }
+        drop(t);
+        table
+    }
+}
+
 /// The dense scoring core of [`score_at`] and
 /// [`IngestSession::score`](crate::ingest::IngestSession::score): per
-/// distinct pair, its relevant graph, the global stage over `local`, and
-/// the decoder. Each pair gets a fresh eval-mode rng, as a solo call would.
+/// distinct pair, its relevant graph, the global stage over `local`
+/// ([`PairTables`]), and the decoder. Each pair gets a fresh eval-mode rng,
+/// as a solo call would.
 pub(crate) fn score_dense(
     model: &HisRes,
     local: &Encoded,
@@ -340,11 +390,11 @@ pub(crate) fn score_dense(
 ) -> NdArray {
     let mut out = NdArray::zeros(queries.len(), model.num_entities());
     no_grad(|| {
+        let mut tables = PairTables::new(model, local);
         for (pair, rows) in pair_groups(queries) {
             let mut rng = StdRng::seed_from_u64(0);
-            let graph = pair_graph(model, global, pair);
-            let enc = model.encode_global_with(local, &graph, false, &mut rng);
-            let scores = model.score_objects(&enc, &[pair], false, &mut rng).value_clone();
+            let enc = tables.encode(pair_graph(model, global, pair));
+            let scores = model.score_objects(enc, &[pair], false, &mut rng).value_clone();
             for i in rows {
                 out.row_mut(i).copy_from_slice(scores.row(0));
             }
@@ -356,8 +406,7 @@ pub(crate) fn score_dense(
 /// The top-k scoring core of [`score_at_topk`] and
 /// [`IngestSession::score_topk`](crate::ingest::IngestSession::score_topk).
 /// Pairs whose relevant graph is empty (always, when `use_global` is off)
-/// share one entity table — the encoder is a deterministic function of
-/// `(local, edges)` in eval mode — so its
+/// share the local entity table, so its
 /// [`BlockNorms`](crate::topk::BlockNorms) are computed once and prune
 /// every such pair's scan; a pair with its own globally-augmented table is
 /// scored without norms, which would cost as much as the one dense row
@@ -371,20 +420,15 @@ pub(crate) fn score_topk(
 ) -> Vec<Option<Vec<(u32, f32)>>> {
     let mut out: Vec<Option<Vec<(u32, f32)>>> = vec![None; queries.len()]; // lint:allow(no-hot-alloc-reachable): per-batch result buffer, one slot per query in the request
     no_grad(|| {
-        let mut shared: Option<(Encoded, BlockNorms)> = None;
+        let mut tables = PairTables::new(model, local);
+        let mut local_norms: Option<BlockNorms> = None;
         for (pair, rows) in pair_groups(queries) {
             let g_edges = pair_graph(model, global, pair);
-            let mut rng = StdRng::seed_from_u64(0);
             let preds = if g_edges.is_empty() {
-                let (enc, norms) = shared.get_or_insert_with(|| {
-                    let enc = model.encode_global_with(local, &g_edges, false, &mut rng);
-                    let norms = model.entity_block_norms(&enc);
-                    (enc, norms)
-                });
-                model.score_objects_topk(enc, &[pair], k, Some(norms))
+                let norms = local_norms.get_or_insert_with(|| model.entity_block_norms(local));
+                model.score_objects_topk(local, &[pair], k, Some(norms))
             } else {
-                let enc = model.encode_global_with(local, &g_edges, false, &mut rng);
-                model.score_objects_topk(&enc, &[pair], k, None)
+                model.score_objects_topk(tables.encode(g_edges), &[pair], k, None)
             };
             let row = preds.into_iter().next().flatten();
             for i in rows {

@@ -31,7 +31,8 @@ use hisres_nn::{
 use hisres_tensor::{CheckpointError, NdArray, ParamStore, Scratch, Tensor};
 use hisres_util::rng::rngs::StdRng;
 use hisres_util::rng::{Rng, SeedableRng};
-use std::cell::RefCell;
+use std::cell::{OnceCell, RefCell};
+use std::rc::Rc;
 
 /// Envelope kind tag of [`HisRes::save_checkpoint`] files.
 pub const MODEL_KIND: &str = "model";
@@ -44,13 +45,31 @@ enum GlobalStack {
 }
 
 /// Output of the encoders: the fused entity matrix `E_t^φ` and the evolved
-/// relation matrix `R_t`. Cloning shares the (reference-counted) tensors.
+/// relation matrix `R_t`. Cloning shares the (reference-counted) tensors
+/// and the lazily built edge-free global base (see
+/// [`HisRes::global_base`]), so a memoised local encoding carries its base.
 #[derive(Clone)]
 pub struct Encoded {
     /// `[num_entities, d]` fused entity representations (eq. 13).
     pub entities: Tensor,
     /// `[2·num_relations, d]` relation representations (eq. 6).
     pub relations: Tensor,
+    global_base: Rc<OnceCell<NdArray>>,
+}
+
+impl Encoded {
+    fn new(entities: Tensor, relations: Tensor) -> Encoded {
+        Encoded {
+            entities,
+            relations,
+            global_base: Rc::default(),
+        }
+    }
+
+    /// This encoding's relations beside another entity table.
+    pub(crate) fn with_entities(&self, entities: NdArray) -> Encoded {
+        Encoded::new(Tensor::constant(entities), self.relations.clone())
+    }
 }
 
 /// The multi-granularity evolution state as an explicit, serializable
@@ -392,7 +411,7 @@ impl HisRes {
             e0
         };
 
-        Encoded { entities: local, relations: rels }
+        Encoded::new(local, rels)
     }
 
     /// Eval-mode [`encode_local`](Self::encode_local) behind a
@@ -426,7 +445,7 @@ impl HisRes {
     }
 
     /// The query-dependent half of [`encode`](Self::encode): the global
-    /// stack (eq. 8–11) over the query-built `G_t^H`, fused with the
+    /// stack (eq. 10–14) over the query-built `G_t^H`, fused with the
     /// local encoding. An empty `global_graph` (or `use_global` off)
     /// passes `local` through unchanged, exactly as the fused `encode`
     /// did.
@@ -437,39 +456,90 @@ impl HisRes {
         _training: bool,
         _rng: &mut R,
     ) -> Encoded {
-        let local = local_enc.entities.clone();
-        let rels = local_enc.relations.clone();
-
-        let entities = if self.cfg.use_global && !global_graph.is_empty() {
-            let mut eh = local.clone();
-            match &self.global_stack {
-                GlobalStack::ConvGat(layers) => {
-                    for l in layers {
-                        eh = l.forward(&eh, &rels, global_graph);
-                    }
-                }
-                GlobalStack::CompGcn(layers) => {
-                    for l in layers {
-                        let (e, _r) = l.forward(&eh, &rels, global_graph);
-                        eh = e;
-                    }
-                }
-                GlobalStack::Rgat(layers) => {
-                    for l in layers {
-                        eh = l.forward(&eh, &rels, global_graph);
-                    }
-                }
-            }
-            if self.cfg.use_self_gating_global {
-                self.sg_global.fuse(&eh, &local) // lint:allow(panic-reachability, no-hot-alloc-reachable): global/local encodings share one shape by construction; autograd buffers are per-encode, tracked as fastpath debt
-            } else {
-                gating::sum_fusion(&eh, &local) // lint:allow(panic-reachability, no-hot-alloc-reachable): same contract as the gated branch above
-            }
+        if self.cfg.use_global && !global_graph.is_empty() {
+            let rels = local_enc.relations.clone();
+            Encoded::new(
+                self.global_stage(&local_enc.entities, &rels, global_graph),
+                rels,
+            )
         } else {
-            local
-        };
+            local_enc.clone()
+        }
+    }
 
-        Encoded { entities, relations: rels }
+    /// The global aggregator stack over `graph` and its fusion with the
+    /// stack's input `local` (eq. 10–14), row for row. Every aggregator
+    /// gives a row that no edge points into `rrelu(W_self·h)`, the value it
+    /// gives with no edges at all, and the gate is row-local; so the rows a
+    /// graph does not reach equal [`HisRes::global_base`], and running this
+    /// over only the rows it does reach gives their values to the bit.
+    fn global_stage(&self, local: &Tensor, rels: &Tensor, graph: &EdgeList) -> Tensor {
+        let mut eh = local.clone();
+        match &self.global_stack {
+            GlobalStack::ConvGat(layers) => {
+                for l in layers {
+                    eh = l.forward(&eh, rels, graph);
+                }
+            }
+            GlobalStack::CompGcn(layers) => {
+                for l in layers {
+                    eh = l.forward(&eh, rels, graph).0;
+                }
+            }
+            GlobalStack::Rgat(layers) => {
+                for l in layers {
+                    eh = l.forward(&eh, rels, graph);
+                }
+            }
+        }
+        if self.cfg.use_self_gating_global {
+            self.sg_global.fuse(&eh, local)
+        } else {
+            gating::sum_fusion(&eh, local)
+        }
+    }
+
+    /// The eval-mode global stage of `local` over an empty graph: the
+    /// fused table every row of a non-empty graph's
+    /// [`encode_global_with`](Self::encode_global_with) output takes unless
+    /// the graph reaches it. Built on first use and kept with `local` (its
+    /// clones share it), so a memoised local encoding builds it once.
+    pub(crate) fn global_base<'e>(&self, local: &'e Encoded) -> &'e NdArray {
+        local.global_base.get_or_init(|| {
+            hisres_tensor::no_grad(|| {
+                self.global_stage(&local.entities, &local.relations, &EdgeList::new())
+                    .value_clone()
+            })
+        })
+    }
+
+    /// The rows of eval-mode [`encode_global_with`](Self::encode_global_with)
+    /// that `graph` changes, computed by the same layers over only those
+    /// rows: `nodes` is set to the graph's nodes (src ∪ dst, ascending),
+    /// `graph`'s ends are remapped in place to positions in `nodes` (edge
+    /// order kept), and the result holds the fused row of each node. `None`
+    /// when the stage is skipped (empty graph or `use_global` off). Work
+    /// is O(|nodes|·d²) per layer instead of O(num_entities·d²).
+    pub(crate) fn global_rows(
+        &self,
+        local: &Encoded,
+        mut graph: EdgeList,
+        nodes: &mut Vec<u32>,
+    ) -> Option<Tensor> {
+        if !self.cfg.use_global || graph.is_empty() {
+            return None;
+        }
+        nodes.clear();
+        nodes.extend(graph.src.iter().chain(&graph.dst));
+        nodes.sort_unstable();
+        nodes.dedup();
+        for e in graph.src.iter_mut().chain(graph.dst.iter_mut()) {
+            *e = nodes.binary_search(e).unwrap_or_default() as u32;
+        }
+        let rows = Tensor::constant(local.entities.value().gather_rows(nodes));
+        Some(hisres_tensor::no_grad(|| {
+            self.global_stage(&rows, &local.relations, &graph)
+        }))
     }
 
     /// A fresh [`EncoderState`]: initial (statically enhanced) entity
@@ -585,10 +655,7 @@ impl HisRes {
         hisres_tensor::no_grad(|| {
             let rels = Tensor::constant(state.relations.clone());
             if !self.cfg.use_evolutionary || state.intra_steps == 0 {
-                return Encoded {
-                    entities: Tensor::constant(state.entities.clone()),
-                    relations: rels,
-                };
+                return Encoded::new(Tensor::constant(state.entities.clone()), rels);
             }
             let e_g = Tensor::constant(state.entities.clone());
             let entities = if self.cfg.use_inter_snapshot {
@@ -605,7 +672,7 @@ impl HisRes {
             } else {
                 e_g
             };
-            Encoded { entities, relations: rels }
+            Encoded::new(entities, rels)
         })
     }
 
@@ -790,62 +857,86 @@ impl HisRes {
         raw_loss.add(&inv_loss).scale(0.5)
     }
 
-    /// Saves a self-contained checkpoint (configuration + vocabulary sizes
-    /// + all parameter values): JSON payload inside the versioned,
-    /// checksummed envelope of [`hisres_util::fsio`], written atomically so
-    /// a crash mid-save leaves any previous checkpoint intact.
+    /// Saves a self-contained checkpoint inside the checksummed v3
+    /// envelope of [`hisres_util::fsio`], written atomically so a crash
+    /// mid-save leaves any previous checkpoint intact. The payload is one
+    /// JSON header line (configuration, vocabulary sizes, and the name and
+    /// shape of every tensor) followed by each tensor's values as
+    /// little-endian f32, so loading copies the values bit for bit instead
+    /// of parsing decimal text.
     pub fn save_checkpoint(
         &self,
         path: impl AsRef<std::path::Path>,
     ) -> Result<(), CheckpointError> {
-        use hisres_util::json::{parse, ToJson, Value};
-        let payload = Value::Obj(vec![
+        use hisres_util::json::{ToJson, Value};
+        let header = Value::Obj(vec![
             ("config".to_owned(), self.cfg.to_json()),
             ("num_entities".to_owned(), self.num_entities.to_json()),
             ("num_relations".to_owned(), self.num_relations.to_json()),
-            (
-                "params".to_owned(),
-                parse(&self.store.to_json()).expect("param store serialises to valid JSON"),
-            ),
+            ("tensors".to_owned(), self.store.tensor_table().to_json()),
         ]);
-        let text = payload
+        let mut payload = header
             .try_to_string()
-            .map_err(|e| CheckpointError::Malformed(e.to_string()))?;
-        let sealed = hisres_util::fsio::seal(MODEL_KIND, &text);
-        hisres_util::fsio::atomic_write(path, sealed.as_bytes())?;
+            .map_err(|e| CheckpointError::Malformed(e.to_string()))?
+            .into_bytes();
+        payload.push(b'\n');
+        self.store.write_le(&mut payload);
+        let sealed = hisres_util::fsio::seal_bytes(MODEL_KIND, &payload);
+        hisres_util::fsio::atomic_write(path, &sealed)?;
         Ok(())
     }
 
     /// Rebuilds a model from a [`HisRes::save_checkpoint`] file. Envelope
     /// verification catches truncation, bit-flips and version mismatch
-    /// before any JSON is parsed; every failure is a typed
+    /// before any payload is parsed; every failure is a typed
     /// [`CheckpointError`].
-    pub fn load_checkpoint(
-        path: impl AsRef<std::path::Path>,
-    ) -> Result<HisRes, CheckpointError> {
-        let text = std::fs::read_to_string(path)?;
-        Self::load_checkpoint_text(&text)
+    pub fn load_checkpoint(path: impl AsRef<std::path::Path>) -> Result<HisRes, CheckpointError> {
+        Self::load_checkpoint_bytes(&std::fs::read(path)?)
     }
 
     /// [`HisRes::load_checkpoint`] from already-read file contents — the
     /// serving path reads the file itself (with retry over transient I/O
-    /// faults) and then parses here.
-    pub fn load_checkpoint_text(text: &str) -> Result<HisRes, CheckpointError> {
+    /// faults) and then parses here. Reads the v3 layout and the v2 one
+    /// (a single JSON document with a nested decimal `params` table).
+    pub fn load_checkpoint_bytes(file: &[u8]) -> Result<HisRes, CheckpointError> {
+        use hisres_tensor::TensorInfo;
         use hisres_util::json::{parse, FromJson};
-        let payload = hisres_util::fsio::open(text, MODEL_KIND)?;
-        let v = parse(payload).map_err(|e| CheckpointError::Malformed(e.to_string()))?;
+        let malformed = |m: &str| CheckpointError::Malformed(m.to_owned());
+        let (version, payload) = hisres_util::fsio::open_bytes(file, MODEL_KIND)?;
+        let (header, sections) = if version == hisres_util::fsio::ENVELOPE_VERSION {
+            (payload, None)
+        } else {
+            let mut parts = payload.splitn(2, |&b| b == b'\n');
+            let header = parts.next().unwrap_or_default();
+            (
+                header,
+                Some(
+                    parts
+                        .next()
+                        .ok_or_else(|| malformed("missing header line"))?,
+                ),
+            )
+        };
+        let header = std::str::from_utf8(header).map_err(|_| malformed("header is not UTF-8"))?;
+        let v = parse(header).map_err(|e| CheckpointError::Malformed(e.to_string()))?;
         let cfg = HisResConfig::from_json(&v["config"])
             .map_err(|e| CheckpointError::Malformed(format!("invalid config: {e}")))?;
         let ne = v["num_entities"]
             .as_u64()
-            .ok_or_else(|| CheckpointError::Malformed("missing num_entities".into()))?
-            as usize;
+            .ok_or_else(|| malformed("missing num_entities"))? as usize;
         let nr = v["num_relations"]
             .as_u64()
-            .ok_or_else(|| CheckpointError::Malformed("missing num_relations".into()))?
-            as usize;
+            .ok_or_else(|| malformed("missing num_relations"))? as usize;
         let model = HisRes::new(&cfg, ne, nr); // lint:allow(panic-reachability): startup-time checkpoint validation — serving must refuse to come up on a bad config
-        model.store.load_value(&v["params"])?;
+        match sections {
+            None => model.store.load_value(&v["params"])?,
+            Some(bytes) => {
+                let table = Vec::<TensorInfo>::from_json(&v["tensors"]).map_err(|e| {
+                    CheckpointError::Malformed(format!("invalid tensor table: {e}"))
+                })?;
+                model.store.load_le(&table, bytes)?;
+            }
+        }
         Ok(model)
     }
 

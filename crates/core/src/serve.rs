@@ -1705,13 +1705,13 @@ pub fn load_servable_model(
     faults: &FaultInjector,
 ) -> Result<HisRes, CheckpointError> {
     let path = path.as_ref();
-    let text = with_backoff(policy, io_transient, |_| fsio::read_to_string_with(path, faults))
+    let bytes = with_backoff(policy, io_transient, |_| fsio::read_with(path, faults))
         .map_err(CheckpointError::Io)?;
-    let kind = fsio::kind_of(&text)?;
+    let kind = fsio::kind_of(&bytes)?;
     if kind == MODEL_KIND {
-        HisRes::load_checkpoint_text(&text)
+        HisRes::load_checkpoint_bytes(&bytes)
     } else if kind == TRAIN_STATE_KIND {
-        TrainCheckpoint::load_text(&text)?.build_model_best()
+        TrainCheckpoint::load_bytes(&bytes)?.build_model_best()
     } else {
         Err(CheckpointError::Envelope(EnvelopeError::WrongKind {
             expected: format!("{MODEL_KIND} or {TRAIN_STATE_KIND}"),

@@ -5,18 +5,22 @@
 //! parameter changes (optimiser step, `load_json`, `import_flat`), a moved
 //! prediction time, changed snapshot contents, a changed configuration,
 //! live ingests and a reopen
-//! from the WAL. The uncached frozen reference is a fresh model (empty
-//! memo) with the same parameters; the live one recomputes the session
-//! state's local encoding and scores each query on its own.
+//! from the WAL. Both references are uncached and dense: they recompute
+//! the local encoding (from the window, or from the session state), then
+//! score each query on its own through `encode_global_with`, which runs
+//! the global stage over every entity. So they also pin the served path's
+//! sparse global stage, which recomputes only the rows a pair's relevant
+//! graph reaches over a memoised edge-free base, to the dense one — for
+//! every aggregator, gating choice, depth and pruning setting.
 
-use hisres::config::HisResConfig;
+use hisres::config::{GlobalAggregator, HisResConfig};
 use hisres::eval::{score_at, score_at_topk, ScoreCtx};
 use hisres::ingest::{IngestSession, IngestSessionConfig};
-use hisres::model::HisRes;
+use hisres::model::{Encoded, HisRes};
+use hisres::topk::top_k;
 use hisres_data::synthetic::{generate, SyntheticConfig};
 use hisres_data::DatasetSplits;
-use hisres::topk::top_k;
-use hisres_graph::{EdgeList, GlobalHistoryIndex, Snapshot};
+use hisres_graph::{EdgeList, GlobalHistoryIndex, Quad, Snapshot};
 use hisres_tensor::{no_grad, Adam, NdArray};
 use hisres_util::rng::rngs::StdRng;
 use hisres_util::rng::SeedableRng;
@@ -55,13 +59,6 @@ fn model() -> HisRes {
     HisRes::new(&cfg, NUM_ENTITIES, NUM_RELATIONS)
 }
 
-/// A model with `model`'s configuration and parameters and an empty memo.
-fn fresh(model: &HisRes) -> HisRes {
-    let copy = HisRes::new(&model.cfg, NUM_ENTITIES, NUM_RELATIONS);
-    copy.store.import_flat(&model.store.export_flat()).unwrap();
-    copy
-}
-
 fn dense_bits(scores: &NdArray) -> Vec<u32> {
     scores.as_slice().iter().map(|v| v.to_bits()).collect()
 }
@@ -73,22 +70,71 @@ fn topk_bits(rows: &[Option<Vec<(u32, f32)>>]) -> TopkBits {
 }
 
 /// Frozen answers of `model` over `ctx`, dense and top-k.
-fn frozen(model: &HisRes, ctx: &ScoreCtx) -> (Vec<u32>, TopkBits) {
+fn frozen(model: &HisRes, ctx: &ScoreCtx, queries: &[(u32, u32)]) -> (Vec<u32>, TopkBits) {
     (
-        dense_bits(&score_at(model, ctx, &QUERIES)),
-        topk_bits(&score_at_topk(model, ctx, &QUERIES, K)),
+        dense_bits(&score_at(model, ctx, queries)),
+        topk_bits(&score_at_topk(model, ctx, queries, K)),
     )
 }
 
-/// Asserts `model`'s (possibly memoised) answers equal uncached ones, and
-/// returns them.
-fn assert_frozen_exact(model: &HisRes, ctx: &ScoreCtx, what: &str) -> (Vec<u32>, TopkBits) {
-    let got = frozen(model, ctx);
-    let dense = dense_bits(&score_at(&fresh(model), ctx, &QUERIES));
-    let topk = topk_bits(&score_at_topk(&fresh(model), ctx, &QUERIES, K));
-    assert!(got.0 == dense, "{what}: dense scores differ from an uncached recompute");
-    assert!(got.1 == topk, "{what}: top-k differs from an uncached recompute");
+/// Uncached dense answers over `local`: per query its relevant graph, the
+/// dense global stage and the decoder, with top-k as the ranked dense row.
+fn dense_reference(
+    model: &HisRes,
+    local: &Encoded,
+    global: &GlobalHistoryIndex,
+    queries: &[(u32, u32)],
+) -> (Vec<u32>, TopkBits) {
+    let prune = model.cfg.global_prune_topk.unwrap_or(usize::MAX);
+    let mut dense = Vec::new();
+    let mut topk = Vec::new();
+    for &pair in queries {
+        let mut rng = StdRng::seed_from_u64(0);
+        let graph = global.relevant_graph_pruned(&[pair], prune);
+        let row = no_grad(|| {
+            let enc = model.encode_global_with(local, &graph, false, &mut rng);
+            model
+                .score_objects(&enc, &[pair], false, &mut rng)
+                .value_clone()
+        });
+        dense.extend(dense_bits(&row));
+        topk.push(Some(top_k(row.row(0), K)));
+    }
+    (dense, topk_bits(&topk))
+}
+
+/// Uncached dense answers of `model` over `ctx`: the window's local
+/// encoding recomputed (no memo), then [`dense_reference`].
+fn uncached_frozen(model: &HisRes, ctx: &ScoreCtx, queries: &[(u32, u32)]) -> (Vec<u32>, TopkBits) {
+    let mut rng = StdRng::seed_from_u64(0);
+    let window = ctx.window(model.cfg.history_len);
+    let local = no_grad(|| model.encode_local(window, ctx.t, false, &mut rng));
+    dense_reference(model, &local, &ctx.global, queries)
+}
+
+/// Asserts `model`'s (memoised, sparse) answers to `queries` equal the
+/// uncached dense ones, and returns them.
+fn assert_queries_exact(
+    model: &HisRes,
+    ctx: &ScoreCtx,
+    queries: &[(u32, u32)],
+    what: &str,
+) -> (Vec<u32>, TopkBits) {
+    let got = frozen(model, ctx, queries);
+    let want = uncached_frozen(model, ctx, queries);
+    assert!(
+        got.0 == want.0,
+        "{what}: dense scores differ from an uncached dense recompute"
+    );
+    assert!(
+        got.1 == want.1,
+        "{what}: top-k differs from an uncached dense recompute"
+    );
     got
+}
+
+fn assert_frozen_exact(model: &HisRes, ctx: &ScoreCtx, what: &str) -> (Vec<u32>, TopkBits) {
+    assert_queries_exact(model, ctx, &QUERIES, what)
 }
 
 #[test]
@@ -96,12 +142,13 @@ fn repeated_calls_equal_an_uncached_recompute() {
     let (model, ctx) = (model(), ctx());
     let first = assert_frozen_exact(&model, &ctx, "first call");
     for round in 0..3 {
-        assert!(frozen(&model, &ctx) == first, "repeat {round} changed the answers");
+        assert!(
+            frozen(&model, &ctx, &QUERIES) == first,
+            "repeat {round} changed the answers"
+        );
     }
     // a different query mix over the same timeline reuses the encoding too
-    let other = [(1u32, 2u32), (9, 0)];
-    let want = dense_bits(&score_at(&fresh(&model), &ctx, &other));
-    assert_eq!(dense_bits(&score_at(&model, &ctx, &other)), want);
+    assert_queries_exact(&model, &ctx, &[(1, 2), (9, 0)], "another query mix");
 }
 
 #[test]
@@ -190,26 +237,16 @@ fn live(session: &IngestSession) -> (Vec<u32>, TopkBits) {
 }
 
 /// Uncached answers for the live state of `session`: its local encoding
-/// recomputed from the state, then the global stage and decoder per query,
-/// with top-k as the ranked dense row. `global` mirrors the session's
-/// relevance index.
+/// recomputed from the state, then [`dense_reference`]. `global` mirrors
+/// the session's relevance index.
 fn uncached_live(session: &IngestSession, global: &GlobalHistoryIndex) -> (Vec<u32>, TopkBits) {
     let model = session.model();
-    let local = model.state_local_encoding(session.state());
-    let prune = model.cfg.global_prune_topk.unwrap_or(usize::MAX);
-    let mut dense = Vec::new();
-    let mut topk = Vec::new();
-    for &pair in &QUERIES {
-        let mut rng = StdRng::seed_from_u64(0);
-        let graph = global.relevant_graph_pruned(&[pair], prune);
-        let row = no_grad(|| {
-            let enc = model.encode_global_with(&local, &graph, false, &mut rng);
-            model.score_objects(&enc, &[pair], false, &mut rng).value_clone()
-        });
-        dense.extend(dense_bits(&row));
-        topk.push(Some(top_k(row.row(0), K)));
-    }
-    (dense, topk_bits(&topk))
+    dense_reference(
+        model,
+        &model.state_local_encoding(session.state()),
+        global,
+        &QUERIES,
+    )
 }
 
 /// Ingests batch `i` into `session` and mirrors it into `global`.
@@ -266,4 +303,74 @@ fn reopened_session_serves_what_the_uninterrupted_one_did() {
     assert!(live(&s) == uncached_live(&s, &global), "after ingesting past the reopen");
     drop(s);
     cleanup(&cfg);
+}
+
+/// A timeline whose relevant graphs cover the sparse stage's edge cases:
+/// pair (2, 0) has a self-loop (its subject is also a destination) and a
+/// second object, (4, 1) has three objects that (5, 2) and (9, 0) point
+/// back into, (8, 4) asks an inverse relation, and (13, 0) has no history
+/// (an empty graph, answered from the local encoding).
+fn sparse_ctx() -> ScoreCtx {
+    let quads = vec![
+        Quad::new(2, 0, 2, 0),
+        Quad::new(4, 1, 5, 0),
+        Quad::new(5, 2, 4, 1),
+        Quad::new(4, 1, 6, 1),
+        Quad::new(9, 0, 2, 2),
+        Quad::new(4, 1, 7, 2),
+        Quad::new(3, 1, 8, 3),
+        Quad::new(2, 0, 11, 3),
+    ];
+    ScoreCtx::from_quads(NUM_ENTITIES, NUM_RELATIONS, quads)
+}
+
+const SPARSE_QUERIES: [(u32, u32); 7] = [(2, 0), (4, 1), (5, 2), (9, 0), (4, 1), (13, 0), (8, 4)];
+
+#[test]
+fn sparse_global_stage_equals_the_dense_one() {
+    let ctx = sparse_ctx();
+    for aggregator in [
+        GlobalAggregator::ConvGat,
+        GlobalAggregator::CompGcn,
+        GlobalAggregator::Rgat,
+    ] {
+        for gated in [true, false] {
+            for layers in 1..=3 {
+                for prune in [None, Some(1)] {
+                    let cfg = HisResConfig {
+                        dim: 8,
+                        conv_channels: 2,
+                        history_len: 3,
+                        gnn_layers: layers,
+                        global_aggregator: aggregator,
+                        use_self_gating_global: gated,
+                        global_prune_topk: prune,
+                        ..Default::default()
+                    };
+                    let model = HisRes::new(&cfg, NUM_ENTITIES, NUM_RELATIONS);
+                    let what =
+                        format!("{aggregator:?} gated={gated} layers={layers} prune={prune:?}");
+                    let before = assert_queries_exact(&model, &ctx, &SPARSE_QUERIES, &what);
+                    assert!(
+                        frozen(&model, &ctx, &SPARSE_QUERIES) == before,
+                        "{what}: a second call over the built base changed the answers"
+                    );
+                    // new parameters must rebuild the base with the local encoding
+                    let halved: Vec<f32> =
+                        model.store.export_flat().iter().map(|v| v * 0.5).collect();
+                    model.store.import_flat(&halved).unwrap();
+                    let after = assert_queries_exact(
+                        &model,
+                        &ctx,
+                        &SPARSE_QUERIES,
+                        &format!("{what} after import_flat"),
+                    );
+                    assert!(
+                        after != before,
+                        "{what}: import_flat did not move the answers"
+                    );
+                }
+            }
+        }
+    }
 }

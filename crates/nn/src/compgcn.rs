@@ -131,6 +131,13 @@ mod tests {
     }
 
     #[test]
+    fn rows_no_edge_points_into_equal_the_edge_free_forward() {
+        let (_s, l) = layer(4, false);
+        let (ents, rels, g) = crate::untouched::inputs();
+        crate::untouched::assert_rows_match(|e| l.forward(&ents, &rels, e).0, &g);
+    }
+
+    #[test]
     fn relation_update_changes_relations() {
         let (_s, l) = layer(4, true);
         let ents = Tensor::constant(NdArray::full(3, 4, 0.3));

@@ -154,6 +154,13 @@ mod tests {
     }
 
     #[test]
+    fn rows_no_edge_points_into_equal_the_edge_free_forward() {
+        let (_s, l) = layer(4);
+        let (ents, rels, g) = crate::untouched::inputs();
+        crate::untouched::assert_rows_match(|e| l.forward(&ents, &rels, e), &g);
+    }
+
+    #[test]
     fn attention_can_learn_to_prefer_informative_edge() {
         // Node 2 receives from node 0 and node 1; target: node 2's output
         // should equal W6ψ(node0-message). Training should push attention

@@ -51,3 +51,55 @@ pub use gru::GruCell;
 pub use linear::Linear;
 pub use rgat::RgatLayer;
 pub use time::TimeEncoding;
+
+/// Shared check of the global aggregators' row invariant.
+#[cfg(test)]
+pub(crate) mod untouched {
+    use hisres_graph::EdgeList;
+    use hisres_tensor::{no_grad, NdArray, Tensor};
+    use hisres_util::rng::rngs::StdRng;
+    use hisres_util::rng::SeedableRng;
+
+    /// Six entity rows — one all zero, one all negative — and two
+    /// relations, plus a graph whose destinations are {0, 2}: row 1 is
+    /// only a source and rows 3–5 are isolated.
+    pub fn inputs() -> (Tensor, Tensor, EdgeList) {
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut ents = hisres_tensor::init::xavier_normal(6, 4, &mut rng);
+        for c in 0..4 {
+            ents.set(4, c, 0.0);
+            ents.set(5, c, -0.25 - c as f32);
+        }
+        let rels = hisres_tensor::init::xavier_normal(2, 4, &mut rng);
+        let mut g = EdgeList::new();
+        g.push(0, 0, 2);
+        g.push(1, 1, 2);
+        g.push(2, 0, 0);
+        g.push(2, 1, 2);
+        (Tensor::constant(ents), Tensor::constant(rels), g)
+    }
+
+    /// Asserts, with and without grad mode, that every row of
+    /// `forward(g)` that is not a destination in `g` equals, to the bit,
+    /// the same row of `forward(&EdgeList::new())`.
+    pub fn assert_rows_match(forward: impl Fn(&EdgeList) -> Tensor, g: &EdgeList) {
+        let bits = |a: &NdArray, r: usize| a.row(r).iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for grad in [true, false] {
+            let run = |edges: &EdgeList| {
+                if grad {
+                    forward(edges).value_clone()
+                } else {
+                    no_grad(|| forward(edges).value_clone())
+                }
+            };
+            let (with, without) = (run(g), run(&EdgeList::new()));
+            for r in (0..with.rows()).filter(|&r| !g.dst.contains(&(r as u32))) {
+                assert_eq!(
+                    bits(&with, r),
+                    bits(&without, r),
+                    "row {r} (grad mode {grad})"
+                );
+            }
+        }
+    }
+}

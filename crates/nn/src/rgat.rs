@@ -91,6 +91,13 @@ mod tests {
     }
 
     #[test]
+    fn rows_no_edge_points_into_equal_the_edge_free_forward() {
+        let (_s, l, _ents, _rels, _e) = setup();
+        let (ents, rels, g) = crate::untouched::inputs();
+        crate::untouched::assert_rows_match(|e| l.forward(&ents, &rels, e), &g);
+    }
+
+    #[test]
     fn has_fewer_parameters_than_convgat() {
         let mut s1 = ParamStore::new();
         let mut rng = StdRng::seed_from_u64(0);

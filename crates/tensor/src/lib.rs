@@ -62,5 +62,5 @@ pub mod tensor;
 pub use ndarray::{blocked_dot, NdArray};
 pub use optim::{clip_grad_norm, Adam, AdamState, Sgd};
 pub use scratch::Scratch;
-pub use store::{CheckpointError, ParamStore};
+pub use store::{CheckpointError, ParamStore, TensorInfo};
 pub use tensor::{no_grad, Tensor};

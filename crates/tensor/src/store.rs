@@ -104,6 +104,20 @@ struct SavedParam {
 }
 impl_json!(SavedParam { rows, cols, data });
 
+/// One parameter's entry in the tensor table of a binary checkpoint: its
+/// name and shape. The table lists the little-endian f32 sections that
+/// follow it, in order ([`ParamStore::tensor_table`]).
+#[derive(Clone, Debug, PartialEq)]
+pub struct TensorInfo {
+    /// Parameter name.
+    pub name: String,
+    /// Row count.
+    pub rows: usize,
+    /// Column count.
+    pub cols: usize,
+}
+impl_json!(TensorInfo { name, rows, cols });
+
 impl ParamStore {
     /// Empty store.
     pub fn new() -> Self {
@@ -216,6 +230,83 @@ impl ParamStore {
         Ok(())
     }
 
+    /// Name and shape of every parameter, in registration order — the
+    /// order of [`ParamStore::write_le`]'s sections.
+    pub fn tensor_table(&self) -> Vec<TensorInfo> {
+        self.entries
+            .iter()
+            .map(|(n, t)| {
+                let (rows, cols) = t.shape();
+                TensorInfo {
+                    name: n.clone(),
+                    rows,
+                    cols,
+                }
+            })
+            .collect()
+    }
+
+    /// Appends every parameter value to `out` as little-endian f32, one
+    /// section per parameter in registration order. Bit-exact.
+    pub fn write_le(&self, out: &mut Vec<u8>) {
+        out.reserve(4 * self.num_scalars());
+        for (_, t) in &self.entries {
+            for v in t.value().as_slice() {
+                out.extend_from_slice(&v.to_le_bytes());
+            }
+        }
+    }
+
+    /// Restores parameter values from little-endian f32 `sections` laid
+    /// out as `table` says ([`ParamStore::write_le`] output under its
+    /// [`ParamStore::tensor_table`]). Like [`ParamStore::load_value`],
+    /// every registered parameter must be present with a matching shape
+    /// and extra entries are ignored; the sections must hold exactly the
+    /// bytes the table promises.
+    pub fn load_le(&self, table: &[TensorInfo], sections: &[u8]) -> Result<(), CheckpointError> {
+        let mut at = BTreeMap::new();
+        let mut offset = 0usize;
+        for info in table {
+            let bytes = info
+                .rows
+                .checked_mul(info.cols)
+                .and_then(|n| n.checked_mul(4))
+                .ok_or_else(|| {
+                    CheckpointError::Malformed(format!("tensor {:?} too large", info.name))
+                })?;
+            at.insert(info.name.as_str(), (offset, info));
+            offset = offset
+                .checked_add(bytes)
+                .ok_or_else(|| CheckpointError::Malformed("tensor table too large".into()))?;
+        }
+        if offset != sections.len() {
+            return Err(CheckpointError::Malformed(format!(
+                "tensor table promises {offset} bytes of sections, found {}",
+                sections.len()
+            )));
+        }
+        for (name, t) in &self.entries {
+            let &(start, info) = at
+                .get(name.as_str())
+                .ok_or_else(|| CheckpointError::MissingParam(name.clone()))?;
+            let mut v = t.value_mut();
+            if v.shape() != (info.rows, info.cols) {
+                return Err(CheckpointError::ShapeMismatch {
+                    name: name.clone(),
+                    model: v.shape(),
+                    checkpoint: (info.rows, info.cols),
+                });
+            }
+            let section = sections.get(start..start + 4 * v.len()).ok_or_else(|| {
+                CheckpointError::Malformed(format!("section of {name:?} out of range"))
+            })?;
+            for (dst, b) in v.as_mut_slice().iter_mut().zip(section.chunks_exact(4)) {
+                *dst = f32::from_le_bytes(b.try_into().unwrap_or_default());
+            }
+        }
+        Ok(())
+    }
+
     /// Flattens every parameter value into one vector, in registration
     /// order, bit-exact. The wire format for shipping a model state to a
     /// distributed worker; both sides build the model from the same config
@@ -313,8 +404,8 @@ impl ParamStore {
     /// Loads a checkpoint file, verifying the envelope (version, length,
     /// checksum) before touching any parameter.
     pub fn load_file(&self, path: impl AsRef<Path>) -> Result<(), CheckpointError> {
-        let text = std::fs::read_to_string(path)?;
-        let payload = fsio::open(&text, PARAMS_KIND)?;
+        let file = std::fs::read(path)?;
+        let payload = fsio::open(&file, PARAMS_KIND)?;
         self.load_json(payload)
     }
 }
@@ -323,6 +414,61 @@ impl ParamStore {
 mod tests {
     use super::*;
     use hisres_util::fsio::FaultMode;
+
+    #[test]
+    fn le_sections_round_trip_bit_exactly_and_are_checked() {
+        let mut s = ParamStore::new();
+        let odd = [
+            f32::MIN_POSITIVE / 2.0,
+            -0.0,
+            f32::MAX,
+            1.0e-7,
+            -3.5,
+            f32::NAN,
+        ];
+        s.param("a", NdArray::from_vec(odd.to_vec(), &[2, 3]));
+        s.param("b", NdArray::from_vec(vec![0.25], &[1, 1]));
+        let mut bytes = Vec::new();
+        s.write_le(&mut bytes);
+        let table = s.tensor_table();
+        assert_eq!(bytes.len(), 4 * 7);
+
+        let mut t = ParamStore::new();
+        let a = t.param("a", NdArray::zeros(2, 3));
+        let b = t.param("b", NdArray::zeros(1, 1));
+        t.load_le(&table, &bytes).unwrap();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(a.value().as_slice()), bits(&odd));
+        assert_eq!(b.value().item(), 0.25);
+
+        assert!(matches!(
+            t.load_le(&table, &bytes[1..]),
+            Err(CheckpointError::Malformed(_))
+        ));
+        let renamed = vec![
+            TensorInfo {
+                name: "c".into(),
+                ..table[0].clone()
+            },
+            table[1].clone(),
+        ];
+        assert!(matches!(
+            t.load_le(&renamed, &bytes),
+            Err(CheckpointError::MissingParam(_))
+        ));
+        let reshaped = vec![
+            TensorInfo {
+                rows: 3,
+                cols: 2,
+                ..table[0].clone()
+            },
+            table[1].clone(),
+        ];
+        assert!(matches!(
+            t.load_le(&reshaped, &bytes),
+            Err(CheckpointError::ShapeMismatch { .. })
+        ));
+    }
 
     fn tmp_path(tag: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("hisres_store_{tag}_{}", std::process::id()))

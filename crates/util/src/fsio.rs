@@ -15,7 +15,11 @@
 //!
 //! The header names the format version and the *kind* of checkpoint
 //! (`"model"`, `"params"`, `"train-state"`), so loading the wrong file
-//! species is a typed error rather than a JSON-shape coincidence.
+//! species is a typed error rather than a JSON-shape coincidence. A v2
+//! payload is JSON text ([`seal`]/[`open`]); a v3 payload is bytes
+//! ([`seal_bytes`]/[`open_bytes`]), which model checkpoints use for their
+//! little-endian f32 tensor sections. The checksum covers the payload in
+//! both.
 //!
 //! [`FaultInjector`] scripts failures into [`atomic_write_with`]: an I/O
 //! error before anything is written, a torn write that leaves a partial
@@ -40,9 +44,12 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Current envelope format version. Version 1 was the bare-JSON format
-/// without a header; files carrying this header start at 2.
+/// Envelope format version of text payloads. Version 1 was the bare-JSON
+/// format without a header; files carrying this header start at 2.
 pub const ENVELOPE_VERSION: u32 = 2;
+
+/// Envelope format version of byte payloads ([`seal_bytes`]).
+pub const BINARY_ENVELOPE_VERSION: u32 = 3;
 
 const MAGIC: &str = "HISRESCKPT";
 
@@ -117,86 +124,63 @@ impl fmt::Display for EnvelopeError {
 
 impl std::error::Error for EnvelopeError {}
 
-/// Reads the *kind* a checkpoint envelope declares without verifying the
-/// payload — used to dispatch a file to the right loader (a serving
-/// process accepts both `"model"` and `"train-state"` files). The full
-/// length/checksum verification still happens in [`open`].
-pub fn kind_of(text: &str) -> Result<&str, EnvelopeError> {
-    let Some(rest) = text.strip_prefix(MAGIC).and_then(|r| r.strip_prefix(' ')) else {
+/// The parsed header line of an envelope.
+struct Header<'a> {
+    version: u32,
+    kind: Option<&'a str>,
+    len: Option<usize>,
+    crc: Option<u64>,
+}
+
+/// Splits `file` into its parsed header line and the payload after it.
+/// Fails on a missing magic, an unterminated or malformed header (an
+/// unrecognised field included), or a version other than 2 or 3.
+fn parse_header(file: &[u8]) -> Result<(Header<'_>, &[u8]), EnvelopeError> {
+    let Some(rest) = file
+        .strip_prefix(MAGIC.as_bytes())
+        .and_then(|r| r.strip_prefix(b" "))
+    else {
         return Err(EnvelopeError::NotACheckpoint);
     };
-    let Some((header, _)) = rest.split_once('\n') else {
-        return Err(EnvelopeError::HeaderMalformed("header line not terminated".into()));
+    let Some(nl) = rest.iter().position(|&b| b == b'\n') else {
+        return Err(EnvelopeError::HeaderMalformed(
+            "header line not terminated".into(),
+        ));
     };
-    let mut fields = header.split(' ');
+    let line = std::str::from_utf8(&rest[..nl])
+        .map_err(|_| EnvelopeError::HeaderMalformed("header line is not UTF-8".into()))?;
+    let mut fields = line.split(' ');
     let version: u32 = fields
         .next()
         .and_then(|t| t.strip_prefix('v'))
         .and_then(|t| t.parse().ok())
         .ok_or_else(|| EnvelopeError::HeaderMalformed("missing version token".into()))?;
-    if version != ENVELOPE_VERSION {
+    if version != ENVELOPE_VERSION && version != BINARY_ENVELOPE_VERSION {
         return Err(EnvelopeError::UnsupportedVersion {
             found: version,
-            supported: ENVELOPE_VERSION,
+            supported: BINARY_ENVELOPE_VERSION,
         });
     }
-    for field in fields {
-        if let Some(("kind", v)) = field.split_once('=').map(|(k, v)| (k, v)) {
-            return Ok(v);
-        }
-    }
-    Err(EnvelopeError::HeaderMalformed("missing kind".into()))
-}
-
-/// Wraps `payload` in the versioned, checksummed envelope.
-pub fn seal(kind: &str, payload: &str) -> String {
-    debug_assert!(
-        !kind.is_empty() && kind.bytes().all(|b| b.is_ascii_graphic() && b != b'='),
-        "envelope kind must be a bare token"
-    );
-    format!(
-        "{MAGIC} v{ENVELOPE_VERSION} kind={kind} len={} crc={:016x}\n{payload}",
-        payload.len(),
-        fnv1a64(payload.as_bytes())
-    )
-}
-
-/// Verifies the envelope of `text` and returns the payload. `expected_kind`
-/// guards against loading, say, a training-state file as a model.
-pub fn open<'a>(text: &'a str, expected_kind: &str) -> Result<&'a str, EnvelopeError> {
-    let Some(rest) = text.strip_prefix(MAGIC).and_then(|r| r.strip_prefix(' ')) else {
-        return Err(EnvelopeError::NotACheckpoint);
+    let mut header = Header {
+        version,
+        kind: None,
+        len: None,
+        crc: None,
     };
-    let Some((header, payload)) = rest.split_once('\n') else {
-        return Err(EnvelopeError::HeaderMalformed("header line not terminated".into()));
-    };
-    let mut fields = header.split(' ');
-    let version: u32 = fields
-        .next()
-        .and_then(|t| t.strip_prefix('v'))
-        .and_then(|t| t.parse().ok())
-        .ok_or_else(|| EnvelopeError::HeaderMalformed("missing version token".into()))?;
-    if version != ENVELOPE_VERSION {
-        return Err(EnvelopeError::UnsupportedVersion {
-            found: version,
-            supported: ENVELOPE_VERSION,
-        });
-    }
-    let mut kind = None;
-    let mut len = None;
-    let mut crc = None;
     for field in fields {
         match field.split_once('=') {
-            Some(("kind", v)) => kind = Some(v.to_owned()),
+            Some(("kind", v)) => header.kind = Some(v),
             Some(("len", v)) => {
-                len = Some(v.parse::<usize>().map_err(|_| {
-                    EnvelopeError::HeaderMalformed(format!("bad len {v:?}"))
-                })?);
+                header.len = Some(
+                    v.parse::<usize>()
+                        .map_err(|_| EnvelopeError::HeaderMalformed(format!("bad len {v:?}")))?,
+                );
             }
             Some(("crc", v)) => {
-                crc = Some(u64::from_str_radix(v, 16).map_err(|_| {
-                    EnvelopeError::HeaderMalformed(format!("bad crc {v:?}"))
-                })?);
+                header.crc = Some(
+                    u64::from_str_radix(v, 16)
+                        .map_err(|_| EnvelopeError::HeaderMalformed(format!("bad crc {v:?}")))?,
+                );
             }
             _ => {
                 return Err(EnvelopeError::HeaderMalformed(format!(
@@ -205,23 +189,105 @@ pub fn open<'a>(text: &'a str, expected_kind: &str) -> Result<&'a str, EnvelopeE
             }
         }
     }
-    let found = kind.ok_or_else(|| EnvelopeError::HeaderMalformed("missing kind".into()))?;
-    let expected_len = len.ok_or_else(|| EnvelopeError::HeaderMalformed("missing len".into()))?;
-    let expected_crc = crc.ok_or_else(|| EnvelopeError::HeaderMalformed("missing crc".into()))?;
+    Ok((header, &rest[nl + 1..]))
+}
+
+/// Reads the *kind* a checkpoint envelope declares without verifying the
+/// payload — used to dispatch a file to the right loader (a serving
+/// process accepts both `"model"` and `"train-state"` files). The full
+/// length/checksum verification still happens in [`open`] /
+/// [`open_bytes`].
+pub fn kind_of<B: AsRef<[u8]> + ?Sized>(file: &B) -> Result<&str, EnvelopeError> {
+    let (header, _) = parse_header(file.as_ref())?;
+    header
+        .kind
+        .ok_or_else(|| EnvelopeError::HeaderMalformed("missing kind".into()))
+}
+
+/// Wraps a text `payload` in the versioned, checksummed v2 envelope.
+pub fn seal(kind: &str, payload: &str) -> String {
+    format!(
+        "{}{payload}",
+        header_line(ENVELOPE_VERSION, kind, payload.as_bytes())
+    )
+}
+
+/// Wraps a byte `payload` in the v3 envelope: the same header line as
+/// [`seal`], then the bytes.
+pub fn seal_bytes(kind: &str, payload: &[u8]) -> Vec<u8> {
+    let mut out = header_line(BINARY_ENVELOPE_VERSION, kind, payload).into_bytes();
+    out.extend_from_slice(payload);
+    out
+}
+
+fn header_line(version: u32, kind: &str, payload: &[u8]) -> String {
+    debug_assert!(
+        !kind.is_empty() && kind.bytes().all(|b| b.is_ascii_graphic() && b != b'='),
+        "envelope kind must be a bare token"
+    );
+    format!(
+        "{MAGIC} v{version} kind={kind} len={} crc={:016x}\n",
+        payload.len(),
+        fnv1a64(payload)
+    )
+}
+
+/// Verifies the envelope of `file` (v2 or v3) and returns its version and
+/// payload. `expected_kind` guards against loading, say, a training-state
+/// file as a model.
+pub fn open_bytes<'a>(
+    file: &'a [u8],
+    expected_kind: &str,
+) -> Result<(u32, &'a [u8]), EnvelopeError> {
+    let (header, payload) = parse_header(file)?;
+    let found = header
+        .kind
+        .ok_or_else(|| EnvelopeError::HeaderMalformed("missing kind".into()))?;
+    let expected_len = header
+        .len
+        .ok_or_else(|| EnvelopeError::HeaderMalformed("missing len".into()))?;
+    let expected_crc = header
+        .crc
+        .ok_or_else(|| EnvelopeError::HeaderMalformed("missing crc".into()))?;
     if found != expected_kind {
-        return Err(EnvelopeError::WrongKind { expected: expected_kind.to_owned(), found });
+        return Err(EnvelopeError::WrongKind {
+            expected: expected_kind.to_owned(),
+            found: found.to_owned(),
+        });
     }
     if payload.len() != expected_len {
         return Err(EnvelopeError::Truncated { expected: expected_len, actual: payload.len() });
     }
-    let actual_crc = fnv1a64(payload.as_bytes());
+    let actual_crc = fnv1a64(payload);
     if actual_crc != expected_crc {
         return Err(EnvelopeError::ChecksumMismatch {
             expected: expected_crc,
             actual: actual_crc,
         });
     }
-    Ok(payload)
+    Ok((header.version, payload))
+}
+
+/// Verifies the v2 envelope of `file` and returns the text payload.
+/// `expected_kind` guards against loading, say, a training-state file as
+/// a model.
+pub fn open<'a, B: AsRef<[u8]> + ?Sized>(
+    file: &'a B,
+    expected_kind: &str,
+) -> Result<&'a str, EnvelopeError> {
+    let text_only = |found| EnvelopeError::UnsupportedVersion {
+        found,
+        supported: ENVELOPE_VERSION,
+    };
+    let (version, payload) = open_bytes(file.as_ref(), expected_kind).map_err(|e| match e {
+        EnvelopeError::UnsupportedVersion { found, .. } => text_only(found),
+        e => e,
+    })?;
+    if version != ENVELOPE_VERSION {
+        return Err(text_only(version));
+    }
+    std::str::from_utf8(payload)
+        .map_err(|_| EnvelopeError::HeaderMalformed("v2 payload is not UTF-8 text".into()))
 }
 
 /// How a scripted fault manifests inside [`atomic_write_with`].
@@ -266,7 +332,7 @@ impl FaultInjector {
         self
     }
 
-    /// Fail the `n`th read (0-based) through [`read_to_string_with`] with a
+    /// Fail the `n`th read (0-based) through [`read_with`] with a
     /// transient I/O error; all others succeed.
     pub fn fail_nth_read(n: usize) -> Self {
         FaultInjector { read_faults: vec![n], ..Default::default() }
@@ -320,18 +386,18 @@ fn injected(msg: &str) -> io::Error {
     io::Error::other(format!("injected fault: {msg}"))
 }
 
-/// `std::fs::read_to_string` with scripted transient faults — the read
-/// path retry logic is tested against this. Injected failures use
+/// `std::fs::read` with scripted transient faults — the read path retry
+/// logic is tested against this. Injected failures use
 /// [`std::io::ErrorKind::Interrupted`], which retry predicates treat as
 /// transient.
-pub fn read_to_string_with(path: impl AsRef<Path>, faults: &FaultInjector) -> io::Result<String> {
+pub fn read_with(path: impl AsRef<Path>, faults: &FaultInjector) -> io::Result<Vec<u8>> {
     if faults.next_read_fails() {
         return Err(io::Error::new(
             io::ErrorKind::Interrupted,
             "injected fault: transient read error",
         ));
     }
-    fs::read_to_string(path)
+    fs::read(path)
 }
 
 /// Atomically replaces the file at `path` with `bytes`: temp file in the
@@ -414,6 +480,42 @@ mod tests {
         assert_eq!(
             open(&sealed, "model"),
             Err(EnvelopeError::UnsupportedVersion { found: 99, supported: ENVELOPE_VERSION })
+        );
+        // a v3 file is not a text checkpoint
+        let v3 = seal_bytes("model", b"payload");
+        assert_eq!(
+            open(std::str::from_utf8(&v3).unwrap(), "model"),
+            Err(EnvelopeError::UnsupportedVersion {
+                found: 3,
+                supported: ENVELOPE_VERSION
+            })
+        );
+    }
+
+    #[test]
+    fn byte_envelope_round_trips_and_reads_both_versions() {
+        let payload = [0u8, 10, 255, 7, b'\n', 0];
+        let sealed = seal_bytes("model", &payload);
+        assert!(sealed.starts_with(b"HISRESCKPT v3 kind=model len=6 crc="));
+        assert_eq!(kind_of(&sealed).unwrap(), "model");
+        assert_eq!(open_bytes(&sealed, "model").unwrap(), (3, &payload[..]));
+        let text = seal("model", "{}");
+        assert_eq!(
+            open_bytes(text.as_bytes(), "model").unwrap(),
+            (2, &b"{}"[..])
+        );
+        let mut flipped = sealed.clone();
+        *flipped.last_mut().unwrap() ^= 1;
+        assert!(matches!(
+            open_bytes(&flipped, "model"),
+            Err(EnvelopeError::ChecksumMismatch { .. })
+        ));
+        assert_eq!(
+            open_bytes(&sealed[..sealed.len() - 1], "model"),
+            Err(EnvelopeError::Truncated {
+                expected: 6,
+                actual: 5
+            })
         );
     }
 
@@ -505,9 +607,9 @@ mod tests {
         let p = tmp_path("readfault");
         atomic_write(&p, b"content").unwrap();
         let inj = FaultInjector::fail_first_reads(2);
-        assert!(read_to_string_with(&p, &inj).is_err());
-        assert!(read_to_string_with(&p, &inj).is_err());
-        assert_eq!(read_to_string_with(&p, &inj).unwrap(), "content");
+        assert!(read_with(&p, &inj).is_err());
+        assert!(read_with(&p, &inj).is_err());
+        assert_eq!(read_with(&p, &inj).unwrap(), b"content");
         assert_eq!(inj.reads_attempted(), 3);
         fs::remove_file(&p).ok();
     }
@@ -515,7 +617,7 @@ mod tests {
     #[test]
     fn injected_read_errors_are_transient_kind() {
         let inj = FaultInjector::fail_nth_read(0);
-        let err = read_to_string_with("/nonexistent", &inj).unwrap_err();
+        let err = read_with("/nonexistent", &inj).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::Interrupted);
     }
 

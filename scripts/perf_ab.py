@@ -14,6 +14,11 @@ work tree is worse than the base median by more than that metric's
 BENCHMARK.json bound. Both sides run on this host in the same time
 window, so a slower or busier host moves both sides alike.
 
+For each metric it also prints each side's median and quartiles and the
+number of pairs the work tree won (was strictly better in), which is
+what a claimed gain is judged on: a win in nearly every pair, and a
+median gain wider than the base's interquartile range.
+
 Run from anywhere inside the repository:
 
     python3 scripts/perf_ab.py
@@ -72,6 +77,14 @@ def worse_by(metric, base, work):
     return delta / base
 
 
+def wins(metric, base_runs, work_runs):
+    """Pairs (same index, same seed) in which work beat base on metric."""
+    name = metric["name"]
+    sign = -1 if metric["better"] == "lower" else 1
+    return sum(sign * (w["metrics"][name]["value"] - b["metrics"][name]["value"]) > 0
+               for b, w in zip(base_runs, work_runs))
+
+
 def main():
     with open(ROOT / "BENCHMARK.json") as f:
         bench = json.load(f)
@@ -97,7 +110,8 @@ def main():
     problems = []
     for w in workloads:
         print(f"\n{w}")
-        print(f"  {'metric':<16}{'base':>12}{'work':>12}{'worse':>9}{'bound':>7}")
+        print(f"  {'metric':<16}{'base':>11}{'base q1-q3':>22}{'work':>11}{'work q1-q3':>22}"
+              f"{'worse':>9}{'wins':>6}{'bound':>7}")
         shares = {}
         for side in sides:
             rs = runs[(side, w)]
@@ -107,15 +121,18 @@ def main():
                             f"to {shares['work']:.4f}")
         for m in metrics:
             name = m["name"]
-            med = {side: summarize([r["metrics"][name]["value"] for r in runs[(side, w)]])[0]
-                   for side in sides}
+            stats = {side: summarize([r["metrics"][name]["value"] for r in runs[(side, w)]])
+                     for side in sides}
+            med = {side: stats[side][0] for side in sides}
+            quart = {side: f"{stats[side][1]:.5g}-{stats[side][2]:.5g}" for side in sides}
             worse = worse_by(m, med["base"], med["work"])
             flag = ""
             if worse > m["bound"]:
                 flag = "  WORSE"
                 problems.append(f"{w} {name}: median worse by {worse:.3f} > bound {m['bound']}")
-            print(f"  {name:<16}{med['base']:>12.5g}{med['work']:>12.5g}"
-                  f"{worse:>+9.3f}{m['bound']:>7}{flag}")
+            won = wins(m, runs[("base", w)], runs[("work", w)])
+            print(f"  {name:<16}{med['base']:>11.5g}{quart['base']:>22}{med['work']:>11.5g}"
+                  f"{quart['work']:>22}{worse:>+9.3f}{f'{won}/{PAIRS}':>6}{m['bound']:>7}{flag}")
     if problems:
         print("\nperf A/B: FAIL\n  " + "\n  ".join(problems))
         sys.exit(1)

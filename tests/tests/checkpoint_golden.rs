@@ -1,7 +1,9 @@
 //! Model-level checkpoint format tests: `HisRes::save_checkpoint` output
-//! must keep its documented envelope (versioned checksummed header, kind
-//! tag, JSON payload with config, vocabulary sizes, and params) and
-//! `load_checkpoint` must rebuild a bit-identical model.
+//! must keep its documented envelope (v3 checksummed header, kind tag, a
+//! JSON header line with config, vocabulary sizes and the tensor table,
+//! then little-endian f32 sections), `load_checkpoint` must rebuild a
+//! bit-identical model, and a v2 checkpoint (one JSON document) must load
+//! to the same parameter bits as its v3 re-save.
 
 use hisres::eval::{evaluate, Split};
 use hisres::trainer::{train, HisResEval};
@@ -9,7 +11,7 @@ use hisres::{HisRes, HisResConfig, TrainConfig};
 use hisres_data::synthetic::{generate, SyntheticConfig};
 use hisres_data::DatasetSplits;
 use hisres_util::fsio;
-use hisres_util::json::parse;
+use hisres_util::json::{parse, ToJson, Value};
 
 fn tiny_data(seed: u64) -> DatasetSplits {
     let cfg = SyntheticConfig {
@@ -37,30 +39,87 @@ fn temp_path(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("hisres_ckpt_{tag}_{}.json", std::process::id()))
 }
 
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
 #[test]
 fn checkpoint_envelope_keeps_its_documented_shape() {
     let model = tiny_model(21);
     let path = temp_path("envelope");
     model.save_checkpoint(&path).unwrap();
-    let text = std::fs::read_to_string(&path).unwrap();
+    let bytes = std::fs::read(&path).unwrap();
     std::fs::remove_file(&path).ok();
 
     // one header line: MAGIC, version, kind, payload length, checksum
-    let header = text.lines().next().unwrap();
+    let header = bytes.split(|&b| b == b'\n').next().unwrap();
+    let header = std::str::from_utf8(header).unwrap();
     assert!(
-        header.starts_with("HISRESCKPT v2 kind=model len="),
+        header.starts_with("HISRESCKPT v3 kind=model len="),
         "header changed: {header:?}"
     );
     assert!(header.contains(" crc="), "checksum field present: {header:?}");
 
-    // the verified payload is the documented JSON checkpoint body
-    let payload = fsio::open(&text, "model").unwrap();
-    let v = parse(payload).unwrap();
+    // the verified payload: a JSON header line, then one little-endian f32
+    // section per tensor in the table's order
+    let (version, payload) = fsio::open_bytes(&bytes, "model").unwrap();
+    assert_eq!(version, 3);
+    let nl = payload.iter().position(|&b| b == b'\n').unwrap();
+    let v = parse(std::str::from_utf8(&payload[..nl]).unwrap()).unwrap();
     assert_eq!(v["num_entities"].as_u64(), Some(16));
     assert_eq!(v["num_relations"].as_u64(), Some(3));
     assert_eq!(v["config"]["dim"].as_u64(), Some(8));
     assert_eq!(v["config"]["global_aggregator"], "ConvGat");
-    assert!(v["params"].get("params").is_some(), "nested parameter table present");
+    assert_eq!(
+        hisres_util::json::to_string(&v["tensors"]).unwrap(),
+        hisres_util::json::to_string(&model.store.tensor_table()).unwrap()
+    );
+    let sections: Vec<f32> = payload[nl + 1..]
+        .chunks_exact(4)
+        .map(|b| f32::from_le_bytes(b.try_into().unwrap()))
+        .collect();
+    assert_eq!(payload[nl + 1..].len(), 4 * model.store.num_scalars());
+    assert_eq!(bits(&sections), bits(&model.store.export_flat()));
+}
+
+/// Writes `model` in the v2 layout every checkpoint had before v3: one
+/// JSON document with the config, the vocabulary sizes and the nested
+/// decimal parameter table, in a v2 envelope.
+fn save_v2(model: &HisRes, path: &std::path::Path) {
+    let payload = Value::Obj(vec![
+        ("config".to_owned(), model.cfg.to_json()),
+        ("num_entities".to_owned(), model.num_entities().to_json()),
+        ("num_relations".to_owned(), model.num_relations().to_json()),
+        ("params".to_owned(), parse(&model.store.to_json()).unwrap()),
+    ]);
+    let sealed = fsio::seal("model", &payload.try_to_string().unwrap());
+    assert!(sealed.starts_with("HISRESCKPT v2 kind=model len="));
+    fsio::atomic_write(path, sealed.as_bytes()).unwrap();
+}
+
+#[test]
+fn v2_checkpoint_and_its_v3_resave_load_to_identical_bits() {
+    let data = tiny_data(24);
+    let model = tiny_model(25);
+    let tc = TrainConfig { epochs: 1, lr: 0.01, patience: 0, ..Default::default() };
+    train(&model, &data, &tc).unwrap();
+    let trained = bits(&model.store.export_flat());
+
+    let (v2, v3) = (temp_path("golden_v2"), temp_path("golden_v3"));
+    save_v2(&model, &v2);
+    let from_v2 = HisRes::load_checkpoint(&v2).unwrap();
+    from_v2.save_checkpoint(&v3).unwrap();
+    let from_v3 = HisRes::load_checkpoint(&v3).unwrap();
+    let v3_bytes = std::fs::read(&v3).unwrap();
+    std::fs::remove_file(&v2).ok();
+    std::fs::remove_file(&v3).ok();
+
+    assert!(v3_bytes.starts_with(b"HISRESCKPT v3 kind=model len="));
+    assert_eq!(bits(&from_v2.store.export_flat()), trained);
+    assert_eq!(bits(&from_v3.store.export_flat()), trained);
+    assert_eq!(from_v3.cfg, model.cfg);
+    assert_eq!(from_v3.num_entities(), model.num_entities());
+    assert_eq!(from_v3.num_relations(), model.num_relations());
 }
 
 #[test]
