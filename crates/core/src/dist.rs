@@ -10,12 +10,17 @@
 //! model, optimiser and RNG and **delegates whole gradient steps**: an
 //! [`Msg::Assign`] carries the exact flattened parameters and RNG state
 //! for one snapshot; the worker runs the *same*
-//! [`crate::trainer::step_loss`] kernel the single-process trainer runs,
-//! and returns the loss, pre-clip gradient norm, advanced RNG state and
-//! clipped gradients. The coordinator replays its divergence-guard logic
-//! on the reported values and applies the Adam step locally. One step is
-//! in flight at a time and the RNG is relayed through every step, making
-//! the run byte-identical to `train_with` by construction.
+//! `trainer::compute_step` kernel the single-process trainer
+//! runs, and returns the loss, pre-clip gradient norm, advanced RNG state
+//! and clipped gradients.
+//!
+//! There is **one training loop**. The coordinator is only a step
+//! executor of the trainer's epoch loop (`trainer::drive`): resume, the
+//! divergence guards, validation and early stop, the per-epoch state save
+//! and the best-parameter restore are the code
+//! [`crate::trainer::train_with`] runs; only who computes a step differs.
+//! One step is in flight at a time and the RNG is relayed through every
+//! step, making the run byte-identical to `train_with` by construction.
 //!
 //! # Robustness
 //!
@@ -28,26 +33,21 @@
 //! RNG state, recovery is byte-transparent: the final checkpoint is the
 //! same whether or not a worker died mid-epoch.
 
-use crate::checkpoint::TrainCheckpoint;
-use crate::config::{GuardPolicy, TrainConfig};
-use crate::eval::{evaluate, Split};
+use crate::config::TrainConfig;
 use crate::model::HisRes;
 use crate::trainer::{
-    snapshots_of, step_loss, GoodState, GuardAction, GuardEvent, GuardKind, HisResEval,
-    TrainError, TrainOptions, TrainReport,
+    compute_step, drive, snapshots_of, GlobalCursor, StepExecutor, StepOutcome, TrainError,
+    TrainOptions, TrainReport,
 };
 use hisres_comms::frame::{FramedConn, WireError};
 use hisres_comms::heartbeat::{heartbeat_loop, FailureDetector, HeartbeatConfig};
 use hisres_comms::proto::{recv_msg, send_msg, GradVec, Msg, PROTOCOL_VERSION};
 use hisres_comms::NetFaultInjector;
 use hisres_data::DatasetSplits;
-use hisres_graph::{GlobalHistoryIndex, Snapshot};
-use hisres_tensor::{clip_grad_norm, Adam};
-use hisres_util::fsio::FaultInjector;
+use hisres_graph::Snapshot;
 use hisres_util::pool;
 use hisres_util::retry::{BackoffPolicy, JitterPolicy};
 use hisres_util::rng::rngs::StdRng;
-use hisres_util::rng::SeedableRng;
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -668,11 +668,57 @@ fn monitor_heartbeats(mut conn: FramedConn, detector: Arc<FailureDetector>) {
     }
 }
 
+/// The coordinator as a step executor: each step is dispatched with the
+/// exact parameters and RNG state, awaited under supervision, and its
+/// advanced RNG adopted; a finite step's gradients are imported for the
+/// epoch loop's Adam update.
+impl StepExecutor for Coordinator<'_> {
+    fn begin_epoch(&mut self) {
+        self.dispatch_counter = 0;
+    }
+
+    fn run_step(
+        &mut self,
+        model: &HisRes,
+        _snaps: &[Snapshot],
+        epoch: usize,
+        t: usize,
+        rng: &mut StdRng,
+    ) -> Result<StepOutcome, TrainError> {
+        let msg = Msg::Assign {
+            epoch: epoch as u32,
+            step: t as u32,
+            rng: rng.state(),
+            params: model.store.export_flat(),
+        };
+        self.dispatch(t, msg)?;
+        let done = self.await_step(t)?;
+        // adopt the worker's advanced RNG stream — exactly what running
+        // the step locally would have left behind
+        *rng = StdRng::from_state(done.rng).ok_or_else(|| {
+            TrainError::Comms(WireError::Protocol("worker returned the all-zero RNG state".into()))
+        })?;
+        let out = StepOutcome {
+            loss: f32::from_bits(done.loss_bits),
+            pre_clip: f32::from_bits(done.pre_clip_bits),
+        };
+        if out.tripped().is_none() {
+            let grads = done.grads.ok_or_else(|| {
+                TrainError::Comms(WireError::Protocol(
+                    "worker reported a finite step without gradients".into(),
+                ))
+            })?;
+            model.store.import_grads(&grads)?; // lint:allow(panic-reachability): gradient import validates shapes by assert; a mismatch is a protocol bug, crashing the epoch is correct
+        }
+        Ok(out)
+    }
+}
+
 /// Distributed training entry point: spawns and supervises
-/// [`DistConfig::workers`] worker processes and runs the delegated
-/// training loop. The result — report, parameters, and any saved
-/// [`TrainCheckpoint`] — is byte-identical to
-/// [`crate::trainer::train_with`] on the same inputs, including across
+/// [`DistConfig::workers`] worker processes and runs the trainer's one
+/// epoch loop with the steps delegated to them. The result — report,
+/// parameters, and any saved [`crate::checkpoint::TrainCheckpoint`] — is
+/// byte-identical to [`crate::trainer::train_with`] on the same inputs, including across
 /// worker crashes and injected wire faults.
 pub fn train_distributed(
     model: &HisRes,
@@ -682,202 +728,13 @@ pub fn train_distributed(
     dc: &DistConfig,
 ) -> Result<DistReport, TrainError> {
     let mut coord = Coordinator::new(model, tc, dc)?;
-
-    let mut opt = Adam::new(model.store.params().cloned().collect(), tc.lr);
-    let mut rng = StdRng::seed_from_u64(tc.seed);
-    let snaps = snapshots_of(&data.train); // lint:allow(panic-reachability): training-prep runs before serving; snapshot math asserts are programming-error guards
-    let no_faults = FaultInjector::none();
-    let faults = opts.faults.unwrap_or(&no_faults);
-
-    let mut report = TrainReport::default();
-    let mut best_ckpt: Option<String> = None;
-    let mut since_best = 0usize;
-    let mut start_epoch = 0usize;
-
-    if let Some(ck) = &opts.resume {
-        if ck.num_entities != model.num_entities() || ck.num_relations != model.num_relations() {
-            return Err(TrainError::ResumeMismatch(format!(
-                "checkpoint was trained on {} entities / {} relations, model has {} / {}",
-                ck.num_entities,
-                ck.num_relations,
-                model.num_entities(),
-                model.num_relations()
-            )));
-        }
-        model.store.load_json(&ck.params)?;
-        opt.import_state(&ck.opt)
-            .map_err(|e| TrainError::Checkpoint(hisres_tensor::CheckpointError::Malformed(e)))?;
-        rng = ck.rng()?;
-        start_epoch = ck.epoch;
-        since_best = ck.since_best;
-        best_ckpt = ck.best_params.clone();
-        report.epoch_losses = ck.epoch_losses.clone();
-        report.val_mrr = ck.val_mrr.clone();
-        report.best_val_mrr = ck.best_val_mrr;
-        report.guard_events = ck.guard_events.clone();
-        report.epochs_run = ck.epoch;
-    }
-
-    let rollback = tc.guard == GuardPolicy::RollbackWithLrBackoff;
-    let mut last_good = rollback.then(|| GoodState::capture(model, &opt, &rng));
-
-    for epoch in start_epoch..tc.epochs {
-        let mut loss_sum = 0.0f64;
-        let mut steps = 0usize;
-        // delegatable steps: non-empty snapshots past t = 0 (workers
-        // rebuild the t = 0 global-history contribution themselves)
-        let work: Vec<usize> = (1..snaps.len())
-            .filter(|&t| !snaps[t].triples.is_empty())
-            .collect();
-        coord.dispatch_counter = 0;
-
-        for &t in &work {
-            let msg = Msg::Assign {
-                epoch: epoch as u32,
-                step: t as u32,
-                rng: rng.state(),
-                params: model.store.export_flat(),
-            };
-            coord.dispatch(t, msg)?;
-            let done = coord.await_step(t)?;
-
-            let lv = f32::from_bits(done.loss_bits);
-            // adopt the worker's advanced RNG stream — exactly what
-            // running the step locally would have left behind
-            rng = StdRng::from_state(done.rng).ok_or_else(|| {
-                TrainError::Comms(WireError::Protocol(
-                    "worker returned the all-zero RNG state".into(),
-                ))
-            })?;
-            let pre_clip = f32::from_bits(done.pre_clip_bits);
-            let mut tripped: Option<GuardKind> = None;
-            if !lv.is_finite() {
-                tripped = Some(GuardKind::NonFiniteLoss);
-            } else if !pre_clip.is_finite() {
-                tripped = Some(GuardKind::NonFiniteGradNorm);
-            }
-            match tripped {
-                None => {
-                    let grads = done.grads.ok_or_else(|| {
-                        TrainError::Comms(WireError::Protocol(
-                            "worker reported a finite step without gradients".into(),
-                        ))
-                    })?;
-                    model.store.import_grads(&grads)?; // lint:allow(panic-reachability): gradient import validates shapes by assert; a mismatch is a protocol bug, crashing the epoch is correct
-                    opt.step();
-                    loss_sum += f64::from(lv);
-                    steps += 1;
-                }
-                Some(kind) => {
-                    opt.zero_grad();
-                    let action = match tc.guard {
-                        GuardPolicy::Abort => {
-                            return Err(TrainError::Diverged { epoch, step: t, kind })
-                        }
-                        GuardPolicy::SkipStep => GuardAction::Skipped,
-                        GuardPolicy::RollbackWithLrBackoff => {
-                            let good = last_good
-                                .as_mut()
-                                .ok_or_else(|| sup("rollback policy lost its good state"))?;
-                            model.store.load_json(&good.params)?;
-                            opt.import_state(&good.opt).map_err(|e| {
-                                TrainError::Checkpoint(
-                                    hisres_tensor::CheckpointError::Malformed(e),
-                                )
-                            })?;
-                            rng = good.rng.clone();
-                            opt.lr *= 0.5;
-                            good.opt.lr = opt.lr;
-                            GuardAction::RolledBack
-                        }
-                    };
-                    report.guard_events.push(GuardEvent { epoch, step: t, kind, action });
-                }
-            }
-        }
-
-        let mean_loss = (loss_sum / steps.max(1) as f64) as f32;
-        report.epoch_losses.push(mean_loss);
-        report.epochs_run = epoch + 1;
-
-        let mut stop = false;
-        if tc.patience > 0 {
-            let res = evaluate(&HisResEval { model }, data, Split::Valid); // lint:allow(panic-reachability): validation eval runs between epochs, not in the serving path; its asserts guard fixed invariants
-            report.val_mrr.push(res.mrr);
-            if tc.verbose {
-                eprintln!("epoch {epoch}: loss {mean_loss:.4}, valid MRR {:.2}", res.mrr); // lint:allow(no-debug-leftovers): per-epoch progress line, gated by the --quiet flag
-            }
-            if res.mrr > report.best_val_mrr {
-                report.best_val_mrr = res.mrr;
-                best_ckpt = Some(model.store.to_json());
-                since_best = 0;
-            } else {
-                since_best += 1;
-                if since_best >= tc.patience {
-                    stop = true;
-                }
-            }
-        } else if tc.verbose {
-            eprintln!("epoch {epoch}: loss {mean_loss:.4}"); // lint:allow(no-debug-leftovers): per-epoch progress line, gated by the --quiet flag
-        }
-
-        if let Some(good) = last_good.as_mut() {
-            *good = GoodState::capture(model, &opt, &rng);
-        }
-        if let Some(path) = &opts.state_path {
-            let state = TrainCheckpoint::capture(
-                model,
-                &opt,
-                &rng,
-                epoch + 1,
-                since_best,
-                &report,
-                best_ckpt.clone(),
-            );
-            state.save_with(path, faults)?;
-        }
-        if stop {
-            break;
-        }
-    }
-    if let Some(ckpt) = best_ckpt {
-        model.store.load_json(&ckpt)?;
-    }
+    let train = drive(model, data, tc, opts, &mut coord)?;
     coord.shutdown_workers();
     Ok(DistReport {
-        train: report,
+        train,
         worker_losses: std::mem::take(&mut coord.events),
         respawns: coord.respawns,
     })
-}
-
-/// Worker-side incremental view of the global history index: replays
-/// non-empty snapshots in order up to (excluding) the requested step,
-/// rebuilding from scratch when asked to rewind (a new epoch, or a step
-/// redistributed from a worker that was behind this one).
-struct GlobalCursor {
-    index: GlobalHistoryIndex,
-    next_t: usize,
-}
-
-impl GlobalCursor {
-    fn new() -> GlobalCursor {
-        GlobalCursor { index: GlobalHistoryIndex::new(), next_t: 0 }
-    }
-
-    fn ensure(&mut self, snaps: &[Snapshot], t: usize, num_relations: usize) {
-        if self.next_t > t {
-            self.index = GlobalHistoryIndex::new();
-            self.next_t = 0;
-        }
-        while self.next_t < t {
-            let s = &snaps[self.next_t];
-            if !s.triples.is_empty() {
-                self.index.add_snapshot(s, num_relations);
-            }
-            self.next_t += 1;
-        }
-    }
 }
 
 /// Fault injection: SIGKILL the current process — the hardest possible
@@ -998,7 +855,6 @@ pub fn run_worker(wc: &WorkerConfig, data: &DatasetSplits) -> Result<(), TrainEr
                     ))));
                 }
                 model.store.import_flat(&params)?;
-                cursor.ensure(&snaps, t, num_relations);
                 let mut srng = match StdRng::from_state(rng) {
                     Some(r) => r,
                     None => {
@@ -1007,25 +863,16 @@ pub fn run_worker(wc: &WorkerConfig, data: &DatasetSplits) -> Result<(), TrainEr
                         )))
                     }
                 };
-                model.store.zero_grad();
-                let loss = step_loss(&model, &snaps, t, &cursor.index, &mut srng); // lint:allow(panic-reachability): worker training math asserts by design — a panic kills only this supervised child, and the coordinator respawns it from recorded state
-                let lv = loss.value().item(); // lint:allow(panic-reachability): loss is scalar by construction of step_loss
-                let (pre_clip, grads) = if lv.is_finite() {
-                    loss.backward(); // lint:allow(panic-reachability): backward over the graph step_loss just built; shape asserts guard autograd bugs, and worker panics are supervised
-                    let pc = clip_grad_norm(model.store.params(), tc.grad_clip); // lint:allow(panic-reachability): gradient clipping is worker-side training math; worker panics are supervised and recovered
-                    let g = pc.is_finite().then(|| model.store.export_grads());
-                    (pc, g)
-                } else {
-                    (f32::NAN, None)
-                };
+                let out = compute_step(&model, &snaps, t, &mut cursor, &mut srng, tc.grad_clip); // lint:allow(panic-reachability): worker training math asserts by design — a panic kills only this supervised child, and the coordinator respawns it from recorded state
+                let grads = out.tripped().is_none().then(|| model.store.export_grads());
                 if wc.verbose {
-                    eprintln!("worker {}: epoch {epoch} step {t} loss {lv:.4}", wc.worker_id); // lint:allow(no-debug-leftovers): per-step worker progress, gated by verbosity
+                    eprintln!("worker {}: epoch {epoch} step {t} loss {:.4}", wc.worker_id, out.loss); // lint:allow(no-debug-leftovers): per-step worker progress, gated by verbosity
                 }
                 let done = Msg::StepDone {
                     epoch,
                     step,
-                    loss_bits: lv.to_bits(),
-                    pre_clip_bits: pre_clip.to_bits(),
+                    loss_bits: out.loss.to_bits(),
+                    pre_clip_bits: out.pre_clip.to_bits(),
                     rng: srng.state(),
                     grads,
                 };
@@ -1063,7 +910,6 @@ pub fn run_worker(wc: &WorkerConfig, data: &DatasetSplits) -> Result<(), TrainEr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hisres_graph::Tkg;
 
     #[test]
     fn loss_policy_parses() {
@@ -1071,40 +917,5 @@ mod tests {
         assert_eq!("redistribute".parse(), Ok(LossPolicy::Redistribute));
         assert_eq!("abort".parse(), Ok(LossPolicy::Abort));
         assert!("explode".parse::<LossPolicy>().is_err());
-    }
-
-    #[test]
-    fn global_cursor_matches_sequential_index() {
-        use hisres_graph::Quad;
-        let tkg = Tkg::new(
-            6,
-            2,
-            vec![
-                Quad::new(0, 0, 1, 0),
-                Quad::new(1, 1, 2, 1),
-                Quad::new(2, 0, 3, 3),
-                Quad::new(3, 1, 4, 4),
-            ],
-        );
-        let snaps = hisres_graph::snapshot::partition(&tkg);
-        let nr = 2;
-        // reference: what train_with's running index holds before step t
-        let reference = |t: usize| {
-            let mut g = GlobalHistoryIndex::new();
-            for s in snaps.iter().take(t).filter(|s| !s.triples.is_empty()) {
-                g.add_snapshot(s, nr);
-            }
-            g
-        };
-        let mut cursor = GlobalCursor::new();
-        for &t in &[1usize, 3, 4, 1, 4, 3] {
-            // includes rewinds
-            cursor.ensure(&snaps, t, nr);
-            let want = reference(t);
-            let q = [(0u32, 0u32), (1, 1), (2, 0), (3, 1)];
-            let a = cursor.index.relevant_graph_pruned(&q, usize::MAX);
-            let b = want.relevant_graph_pruned(&q, usize::MAX);
-            assert_eq!(a, b, "cursor diverged at t={t}");
-        }
     }
 }

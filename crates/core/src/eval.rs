@@ -112,49 +112,63 @@ pub fn build_filter(data: &DatasetSplits) -> TimeFilter {
     TimeFilter::from_quads(all.iter())
 }
 
+/// The events `split` evaluates, in chronological order.
+pub(crate) fn split_quads(data: &DatasetSplits, split: Split) -> &[Quad] {
+    match split {
+        Split::Valid => &data.valid.quads,
+        Split::Test => &data.test.quads,
+    }
+}
+
+/// The ground-truth timeline an evaluation walks: every event before the
+/// evaluated split as dense snapshots that also cover the split's own
+/// timestamps, the global history index over them, and each evaluated
+/// step's ground truth joined once it is ranked. The history is built as
+/// [`ScoreCtx`] builds a served timeline (sorted, deduplicated snapshots,
+/// as in training), so a split that repeats a quad is evaluated on the
+/// edges the model was trained and is served on.
+pub(crate) struct EvalTimeline {
+    /// Dense snapshots `0..=` the split's last timestamp.
+    pub(crate) snapshots: Vec<Snapshot>,
+    /// `(s, r) → {o}` index over every joined snapshot.
+    pub(crate) global: GlobalHistoryIndex,
+    num_relations: usize,
+}
+
+impl EvalTimeline {
+    /// The history `split` is evaluated on: train, plus valid for the
+    /// test split.
+    pub(crate) fn new(data: &DatasetSplits, split: Split) -> EvalTimeline {
+        let mut history = data.train.quads.clone();
+        if split == Split::Test {
+            history.extend_from_slice(&data.valid.quads);
+        }
+        let ScoreCtx { mut snapshots, global, .. } =
+            ScoreCtx::from_quads(data.num_entities(), data.num_relations(), history);
+        let end = split_quads(data, split).iter().map(|q| q.t + 1).max().unwrap_or(0);
+        snapshots.extend((snapshots.len() as u32..end).map(|t| Snapshot { t, triples: Vec::new() }));
+        EvalTimeline { snapshots, global, num_relations: data.num_relations() }
+    }
+
+    /// Joins the ground truth `batch` of step `t` to the history.
+    pub(crate) fn join(&mut self, t: u32, batch: &[Quad]) {
+        let snap = &mut self.snapshots[t as usize];
+        snap.triples.extend(batch.iter().map(|q| (q.s, q.r, q.o)));
+        snap.triples.sort_unstable();
+        snap.triples.dedup();
+        self.global.add_snapshot(snap, self.num_relations);
+    }
+}
+
 /// Runs the time-aware filtered evaluation of `model` on `split`.
 pub fn evaluate(model: &impl ExtrapolationModel, data: &DatasetSplits, split: Split) -> EvalResult {
     let nr = data.num_relations() as u32;
     let filter = build_filter(data);
-
-    // History quads: everything chronologically before the evaluated split.
-    let mut history_quads = data.train.quads.clone();
-    if split == Split::Test {
-        history_quads.extend_from_slice(&data.valid.quads);
-    }
-    let eval_quads = match split {
-        Split::Valid => &data.valid.quads,
-        Split::Test => &data.test.quads,
-    };
+    let mut timeline = EvalTimeline::new(data, split);
     let mut metrics = RankMetrics::default();
-    if eval_quads.is_empty() {
-        return EvalResult::from_metrics(model.name(), &metrics);
-    }
-
-    // Dense timeline covering everything up to the last evaluated snapshot.
-    let max_t = eval_quads.iter().map(|q| q.t).max().unwrap();
-    let mut snapshots: Vec<Snapshot> = (0..=max_t)
-        .map(|t| Snapshot { t, triples: Vec::new() })
-        .collect();
-    for q in &history_quads {
-        snapshots[q.t as usize].triples.push((q.s, q.r, q.o));
-    }
-    let mut global = GlobalHistoryIndex::new();
-    for s in &snapshots {
-        if !s.triples.is_empty() {
-            global.add_snapshot(s, data.num_relations());
-        }
-    }
-
-    // Group eval quads per timestamp, ascending (quads are sorted).
-    let mut i = 0;
-    while i < eval_quads.len() {
-        let t = eval_quads[i].t;
-        let mut j = i;
-        while j < eval_quads.len() && eval_quads[j].t == t {
-            j += 1;
-        }
-        let batch = &eval_quads[i..j];
+    // one step per timestamp, ascending (quads are sorted)
+    for batch in split_quads(data, split).chunk_by(|a, b| a.t == b.t) {
+        let t = batch[0].t;
 
         // raw + inverse query lists
         let mut queries: Vec<(u32, u32)> = Vec::with_capacity(batch.len() * 2);
@@ -168,9 +182,9 @@ pub fn evaluate(model: &impl ExtrapolationModel, data: &DatasetSplits, split: Sp
         }
 
         let ctx = HistoryCtx {
-            snapshots: &snapshots[..t as usize],
+            snapshots: &timeline.snapshots[..t as usize],
             t,
-            global: &global,
+            global: &timeline.global,
             num_entities: data.num_entities(),
             num_relations: data.num_relations(),
         };
@@ -193,18 +207,7 @@ pub fn evaluate(model: &impl ExtrapolationModel, data: &DatasetSplits, split: Sp
         for &rank in &ranks {
             metrics.push(rank);
         }
-
-        // ground truth of this step joins the history
-        for q in batch {
-            snapshots[t as usize].triples.push((q.s, q.r, q.o));
-        }
-        snapshots[t as usize].triples.sort_unstable();
-        snapshots[t as usize].triples.dedup();
-        global.add_snapshot(
-            &Snapshot { t, triples: batch.iter().map(|q| (q.s, q.r, q.o)).collect() },
-            data.num_relations(),
-        );
-        i = j;
+        timeline.join(t, batch);
     }
     EvalResult::from_metrics(model.name(), &metrics)
 }
@@ -461,42 +464,11 @@ pub fn evaluate_relations(model: &HisRes, data: &DatasetSplits, split: Split) ->
         })
         .collect();
     let filter = TimeFilter::from_quads(recoded.iter());
-
-    let mut history_quads = data.train.quads.clone();
-    if split == Split::Test {
-        history_quads.extend_from_slice(&data.valid.quads);
-    }
-    let eval_quads = match split {
-        Split::Valid => &data.valid.quads,
-        Split::Test => &data.test.quads,
-    };
+    let mut timeline = EvalTimeline::new(data, split);
     let mut metrics = RankMetrics::default();
-    if eval_quads.is_empty() {
-        return EvalResult::from_metrics("HisRES (relations)".into(), &metrics);
-    }
-    let max_t = eval_quads.iter().map(|q| q.t).max().unwrap();
-    let mut snapshots: Vec<Snapshot> = (0..=max_t)
-        .map(|t| Snapshot { t, triples: Vec::new() })
-        .collect();
-    for q in &history_quads {
-        snapshots[q.t as usize].triples.push((q.s, q.r, q.o));
-    }
-    let mut global = GlobalHistoryIndex::new();
-    for s in &snapshots {
-        if !s.triples.is_empty() {
-            global.add_snapshot(s, data.num_relations());
-        }
-    }
-
     let mut rng = StdRng::seed_from_u64(0);
-    let mut i = 0;
-    while i < eval_quads.len() {
-        let t = eval_quads[i].t;
-        let mut j = i;
-        while j < eval_quads.len() && eval_quads[j].t == t {
-            j += 1;
-        }
-        let batch = &eval_quads[i..j];
+    for batch in split_quads(data, split).chunk_by(|a, b| a.t == b.t) {
+        let t = batch[0].t;
         let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(batch.len() * 2);
         let mut golds: Vec<Quad> = Vec::with_capacity(batch.len() * 2);
         for q in batch {
@@ -506,7 +478,7 @@ pub fn evaluate_relations(model: &HisRes, data: &DatasetSplits, split: Split) ->
             golds.push(Quad::new(q.o, q.s, q.r + nr, q.t));
         }
         let l = model.cfg.history_len;
-        let hist_slice = &snapshots[..t as usize];
+        let hist_slice = &timeline.snapshots[..t as usize];
         let start = hist_slice.len().saturating_sub(l);
         let scores = hisres_tensor::no_grad(|| {
             let enc = model.encode(&hist_slice[start..], t, &EdgeList::new(), false, &mut rng);
@@ -525,14 +497,7 @@ pub fn evaluate_relations(model: &HisRes, data: &DatasetSplits, split: Split) ->
         for &rank in &ranks {
             metrics.push(rank);
         }
-        for q in batch {
-            snapshots[t as usize].triples.push((q.s, q.r, q.o));
-        }
-        global.add_snapshot(
-            &Snapshot { t, triples: batch.iter().map(|q| (q.s, q.r, q.o)).collect() },
-            data.num_relations(),
-        );
-        i = j;
+        timeline.join(t, batch);
     }
     EvalResult::from_metrics("HisRES (relations)".into(), &metrics)
 }
@@ -621,6 +586,44 @@ mod tests {
         let m = Uniform { n: data.num_entities() };
         let res = evaluate(&m, &data, Split::Valid);
         assert_eq!(res.queries, data.valid.len() * 2);
+    }
+
+    #[test]
+    fn repeated_quad_is_evaluated_on_the_deduplicated_timeline() {
+        use crate::config::HisResConfig;
+        use crate::multistep::evaluate_multistep;
+        use crate::trainer::HisResEval;
+        use hisres_data::synthetic::{generate, SyntheticConfig};
+        let cfg = SyntheticConfig {
+            num_entities: 16,
+            num_relations: 3,
+            num_timestamps: 20,
+            seed: 5,
+            ..Default::default()
+        };
+        let data = DatasetSplits::from_tkg("tiny", "1 step", &generate(&cfg).tkg);
+        // the same event recorded twice at the last train timestamp:
+        // training and serving partition it away, so must evaluation
+        let mut repeated = data.clone();
+        let last = *repeated.train.quads.last().unwrap();
+        repeated.train.quads.push(last);
+        let model = HisRes::new(
+            &HisResConfig { dim: 8, conv_channels: 2, history_len: 3, ..Default::default() },
+            16,
+            3,
+        );
+        let eval = HisResEval { model: &model };
+        for split in [Split::Valid, Split::Test] {
+            let mrr_bits = |d: &DatasetSplits| {
+                let mut bits = vec![
+                    evaluate(&eval, d, split).mrr.to_bits(),
+                    evaluate_relations(&model, d, split).mrr.to_bits(),
+                ];
+                bits.extend(evaluate_multistep(&eval, d, split, 2).iter().map(|r| r.mrr.to_bits()));
+                bits
+            };
+            assert_eq!(mrr_bits(&repeated), mrr_bits(&data), "{split:?}: a repeated quad moved MRR");
+        }
     }
 
     #[test]

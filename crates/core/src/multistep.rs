@@ -11,9 +11,11 @@
 //! This module is an extension beyond the paper's protocol; results are
 //! reported per step offset so the decay curve is visible.
 
-use crate::eval::{build_filter, EvalResult, ExtrapolationModel, HistoryCtx, Split};
+use crate::eval::{
+    build_filter, split_quads, EvalResult, EvalTimeline, ExtrapolationModel, HistoryCtx, Split,
+};
 use hisres_data::DatasetSplits;
-use hisres_graph::{GlobalHistoryIndex, Quad, RankMetrics, Snapshot};
+use hisres_graph::{Quad, RankMetrics};
 
 /// Saved original snapshot contents, restored after each prediction block.
 type SnapshotOverlay = Vec<(usize, Vec<(u32, u32, u32)>)>;
@@ -31,54 +33,21 @@ pub fn evaluate_multistep(
     let nr = data.num_relations() as u32;
     let filter = build_filter(data);
 
-    let mut history_quads = data.train.quads.clone();
-    if split == Split::Test {
-        history_quads.extend_from_slice(&data.valid.quads);
-    }
-    let eval_quads = match split {
-        Split::Valid => &data.valid.quads,
-        Split::Test => &data.test.quads,
-    };
-    let mut per_offset: Vec<RankMetrics> = vec![RankMetrics::default(); horizon];
-    if eval_quads.is_empty() {
-        return finish(model, per_offset);
-    }
-
-    let max_t = eval_quads.iter().map(|q| q.t).max().unwrap();
     // ground-truth timeline (kept in sync at block boundaries)
-    let mut snapshots: Vec<Snapshot> = (0..=max_t)
-        .map(|t| Snapshot { t, triples: Vec::new() })
-        .collect();
-    for q in &history_quads {
-        snapshots[q.t as usize].triples.push((q.s, q.r, q.o));
-    }
-    let mut gt_global = GlobalHistoryIndex::new();
-    for s in &snapshots {
-        if !s.triples.is_empty() {
-            gt_global.add_snapshot(s, data.num_relations());
-        }
-    }
+    let mut timeline = EvalTimeline::new(data, split);
+    let mut per_offset: Vec<RankMetrics> = vec![RankMetrics::default(); horizon];
+    let groups: Vec<&[Quad]> = split_quads(data, split).chunk_by(|a, b| a.t == b.t).collect();
 
-    // group eval quads by timestamp
-    let mut groups: Vec<(u32, Vec<Quad>)> = Vec::new();
-    for q in eval_quads {
-        if groups.last().map(|g| g.0) != Some(q.t) {
-            groups.push((q.t, Vec::new()));
-        }
-        groups.last_mut().unwrap().1.push(*q);
-    }
-
-    let mut gi = 0usize;
-    while gi < groups.len() {
-        let block = &groups[gi..(gi + horizon).min(groups.len())];
+    for block in groups.chunks(horizon) {
         // block-local state: predicted snapshots overlay the GT timeline
-        let mut block_global = gt_global.clone();
+        let mut block_global = timeline.global.clone();
         let mut overlays: SnapshotOverlay = Vec::new();
 
-        for (offset, (t, batch)) in block.iter().enumerate() {
+        for (offset, batch) in block.iter().enumerate() {
+            let t = batch[0].t;
             let mut queries: Vec<(u32, u32)> = Vec::with_capacity(batch.len() * 2);
             let mut golds: Vec<Quad> = Vec::with_capacity(batch.len() * 2);
-            for q in batch {
+            for q in *batch {
                 queries.push((q.s, q.r));
                 golds.push(*q);
                 let inv = q.inverse(nr);
@@ -86,8 +55,8 @@ pub fn evaluate_multistep(
                 golds.push(inv);
             }
             let ctx = HistoryCtx {
-                snapshots: &snapshots[..*t as usize],
-                t: *t,
+                snapshots: &timeline.snapshots[..t as usize],
+                t,
                 global: &block_global,
                 num_entities: data.num_entities(),
                 num_relations: data.num_relations(),
@@ -112,30 +81,18 @@ pub fn evaluate_multistep(
             }
             predicted.sort_unstable();
             predicted.dedup();
-            overlays.push((*t as usize, std::mem::take(&mut snapshots[*t as usize].triples)));
-            snapshots[*t as usize].triples = predicted.clone();
-            block_global.add_snapshot(
-                &Snapshot { t: *t, triples: predicted },
-                data.num_relations(),
-            );
+            let snap = &mut timeline.snapshots[t as usize];
+            overlays.push((t as usize, std::mem::replace(&mut snap.triples, predicted)));
+            block_global.add_snapshot(snap, data.num_relations());
         }
 
         // restore ground truth and advance the GT state past the block
         for (idx, original) in overlays {
-            snapshots[idx].triples = original;
+            timeline.snapshots[idx].triples = original;
         }
-        for (t, batch) in block {
-            for q in batch {
-                snapshots[*t as usize].triples.push((q.s, q.r, q.o));
-            }
-            snapshots[*t as usize].triples.sort_unstable();
-            snapshots[*t as usize].triples.dedup();
-            gt_global.add_snapshot(
-                &Snapshot { t: *t, triples: batch.iter().map(|q| (q.s, q.r, q.o)).collect() },
-                data.num_relations(),
-            );
+        for batch in block {
+            timeline.join(batch[0].t, batch);
         }
-        gi += horizon;
     }
     finish(model, per_offset)
 }

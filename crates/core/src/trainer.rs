@@ -8,6 +8,11 @@
 //! bit-identically, and release-mode divergence guards
 //! ([`crate::config::GuardPolicy`]) catch non-finite losses and gradient
 //! norms instead of silently poisoning the parameters.
+//!
+//! One epoch loop serves both [`train_with`] and
+//! [`crate::dist::train_distributed`]; they differ only in the
+//! `StepExecutor` that computes a step, and both executors end in the
+//! one step kernel `compute_step`.
 
 use crate::checkpoint::TrainCheckpoint;
 use crate::config::{GuardPolicy, TrainConfig};
@@ -238,16 +243,15 @@ pub fn train(
 }
 
 /// The last known-good training state, held in memory for
-/// [`GuardPolicy::RollbackWithLrBackoff`]. Shared with the distributed
-/// coordinator, which mirrors the single-process guard handling exactly.
-pub(crate) struct GoodState {
-    pub(crate) params: String,
-    pub(crate) opt: AdamState,
-    pub(crate) rng: StdRng,
+/// [`GuardPolicy::RollbackWithLrBackoff`].
+struct GoodState {
+    params: String,
+    opt: AdamState,
+    rng: StdRng,
 }
 
 impl GoodState {
-    pub(crate) fn capture(model: &HisRes, opt: &Adam, rng: &StdRng) -> GoodState {
+    fn capture(model: &HisRes, opt: &Adam, rng: &StdRng) -> GoodState {
         GoodState {
             params: model.store.to_json(),
             opt: opt.export_state(),
@@ -256,15 +260,63 @@ impl GoodState {
     }
 }
 
+/// Incremental view of the global history index before a step: replays
+/// non-empty snapshots in order up to (excluding) the requested step,
+/// rebuilding from scratch when asked to rewind (a new epoch, or a step
+/// redistributed from a worker that was behind this one).
+pub(crate) struct GlobalCursor {
+    index: GlobalHistoryIndex,
+    next_t: usize,
+}
+
+impl GlobalCursor {
+    pub(crate) fn new() -> GlobalCursor {
+        GlobalCursor { index: GlobalHistoryIndex::new(), next_t: 0 }
+    }
+
+    fn ensure(&mut self, snaps: &[Snapshot], t: usize, num_relations: usize) {
+        if self.next_t > t {
+            self.index = GlobalHistoryIndex::new();
+            self.next_t = 0;
+        }
+        while self.next_t < t {
+            let s = &snaps[self.next_t];
+            if !s.triples.is_empty() {
+                self.index.add_snapshot(s, num_relations);
+            }
+            self.next_t += 1;
+        }
+    }
+}
+
+/// What one training step reports to the epoch loop.
+pub(crate) struct StepOutcome {
+    /// The step's loss.
+    pub(crate) loss: f32,
+    /// The global gradient norm before clipping; NaN when the loss was
+    /// non-finite and no backward pass ran.
+    pub(crate) pre_clip: f32,
+}
+
+impl StepOutcome {
+    /// The divergence guard's verdict: which value, if any, is non-finite.
+    pub(crate) fn tripped(&self) -> Option<GuardKind> {
+        if !self.loss.is_finite() {
+            Some(GuardKind::NonFiniteLoss)
+        } else if !self.pre_clip.is_finite() {
+            Some(GuardKind::NonFiniteGradNorm)
+        } else {
+            None
+        }
+    }
+}
+
 /// Computes the training loss for snapshot `t` given the running global
-/// history index. This is *the* step kernel: the single-process trainer
-/// and every distributed worker call this one function, so a step
-/// computed remotely is bit-identical to the same step computed locally
-/// (same snapshots, same RNG state in, same loss and gradients out).
+/// history index.
 ///
 /// Requires `t > 0`, a non-empty `snaps[t]`, and `global` holding exactly
 /// the non-empty snapshots before `t`.
-pub(crate) fn step_loss(
+fn step_loss(
     model: &HisRes,
     snaps: &[Snapshot],
     t: usize,
@@ -304,6 +356,71 @@ pub(crate) fn step_loss(
     }
 }
 
+/// *The* step kernel: the single-process trainer and every distributed
+/// worker call this one function, so a step computed remotely is
+/// bit-identical to the same step computed locally (same snapshots, same
+/// RNG state in, same loss, gradients and RNG state out). Brings `cursor`
+/// to step `t`, zeroes the gradients, evaluates the loss, and only when it
+/// is finite runs backward and clips the gradients to `grad_clip`.
+pub(crate) fn compute_step(
+    model: &HisRes,
+    snaps: &[Snapshot],
+    t: usize,
+    cursor: &mut GlobalCursor,
+    rng: &mut StdRng,
+    grad_clip: f32,
+) -> StepOutcome {
+    cursor.ensure(snaps, t, model.num_relations());
+    model.store.zero_grad();
+    let loss = step_loss(model, snaps, t, &cursor.index, rng);
+    let lv = loss.value().item();
+    if !lv.is_finite() {
+        return StepOutcome { loss: lv, pre_clip: f32::NAN };
+    }
+    loss.backward();
+    let pre_clip = clip_grad_norm(model.store.params(), grad_clip);
+    StepOutcome { loss: lv, pre_clip }
+}
+
+/// Who computes the steps of the epoch loop: in process
+/// ([`train_with`]) or on supervised worker processes
+/// ([`crate::dist::train_distributed`]).
+pub(crate) trait StepExecutor {
+    /// Called before the first step of every epoch.
+    fn begin_epoch(&mut self) {}
+
+    /// Computes step `t` of `epoch` from `rng`, leaving `rng` advanced
+    /// exactly as the step advanced it. When the outcome trips no guard,
+    /// the model's gradients hold the step's clipped gradients on return.
+    fn run_step(
+        &mut self,
+        model: &HisRes,
+        snaps: &[Snapshot],
+        epoch: usize,
+        t: usize,
+        rng: &mut StdRng,
+    ) -> Result<StepOutcome, TrainError>;
+}
+
+/// The in-process executor of [`train_with`].
+struct LocalSteps {
+    cursor: GlobalCursor,
+    grad_clip: f32,
+}
+
+impl StepExecutor for LocalSteps {
+    fn run_step(
+        &mut self,
+        model: &HisRes,
+        snaps: &[Snapshot],
+        _epoch: usize,
+        t: usize,
+        rng: &mut StdRng,
+    ) -> Result<StepOutcome, TrainError> {
+        Ok(compute_step(model, snaps, t, &mut self.cursor, rng, self.grad_clip))
+    }
+}
+
 /// Trains with crash-safety options: resume from a saved training state
 /// (bit-identical to an uninterrupted run), atomic per-epoch state
 /// persistence, and release-mode divergence guards.
@@ -313,10 +430,25 @@ pub fn train_with(
     tc: &TrainConfig,
     opts: &TrainOptions<'_>,
 ) -> Result<TrainReport, TrainError> {
+    let mut local = LocalSteps { cursor: GlobalCursor::new(), grad_clip: tc.grad_clip };
+    drive(model, data, tc, opts, &mut local)
+}
+
+/// The one epoch loop behind [`train_with`] and
+/// [`crate::dist::train_distributed`]: resume, the divergence guards,
+/// validation with early stop, the per-epoch state save and the
+/// best-parameter restore. Only who computes a step differs, so both
+/// entry points produce the same report, parameters and state files.
+pub(crate) fn drive(
+    model: &HisRes,
+    data: &DatasetSplits,
+    tc: &TrainConfig,
+    opts: &TrainOptions<'_>,
+    exec: &mut dyn StepExecutor,
+) -> Result<TrainReport, TrainError> {
     let mut opt = Adam::new(model.store.params().cloned().collect(), tc.lr);
     let mut rng = StdRng::seed_from_u64(tc.seed);
-    let snaps = snapshots_of(&data.train);
-    let nr = model.num_relations();
+    let snaps = snapshots_of(&data.train); // lint:allow(panic-reachability): training-prep runs before serving; snapshot math asserts are programming-error guards
     let no_faults = FaultInjector::none();
     let faults = opts.faults.unwrap_or(&no_faults);
 
@@ -349,71 +481,48 @@ pub fn train_with(
         report.epochs_run = ck.epoch;
     }
 
+    // kept exactly under GuardPolicy::RollbackWithLrBackoff, so a tripped
+    // guard with no good state is a skip
     let rollback = tc.guard == GuardPolicy::RollbackWithLrBackoff;
     let mut last_good = rollback.then(|| GoodState::capture(model, &opt, &rng));
+    // the steps: non-empty snapshots past t = 0, whose only role is to
+    // seed the global history
+    let work: Vec<usize> = (1..snaps.len())
+        .filter(|&t| !snaps[t].triples.is_empty())
+        .collect();
 
     for epoch in start_epoch..tc.epochs {
-        let mut global = GlobalHistoryIndex::new();
+        exec.begin_epoch();
         let mut loss_sum = 0.0f64;
         let mut steps = 0usize;
-        for t in 0..snaps.len() {
-            let target = &snaps[t];
-            if target.triples.is_empty() {
+        for &t in &work {
+            let out = exec.run_step(model, &snaps, epoch, t, &mut rng)?;
+            // Divergence guard — always on, because divergence is
+            // precisely a release-build, long-run phenomenon.
+            let Some(kind) = out.tripped() else {
+                opt.step();
+                loss_sum += f64::from(out.loss);
+                steps += 1;
                 continue;
-            }
-            if t == 0 {
-                // no history yet: just record and move on
-                global.add_snapshot(target, nr);
-                continue;
-            }
+            };
             opt.zero_grad();
-            let loss = step_loss(model, &snaps, t, &global, &mut rng);
-            let lv = loss.value().item();
-            // Divergence guard — always on, unlike the debug_assert! it
-            // replaces, because divergence is precisely a release-build,
-            // long-run phenomenon.
-            let mut tripped: Option<GuardKind> = None;
-            if !lv.is_finite() {
-                tripped = Some(GuardKind::NonFiniteLoss);
-            } else {
-                loss.backward();
-                let pre_clip = clip_grad_norm(model.store.params(), tc.grad_clip);
-                if !pre_clip.is_finite() {
-                    tripped = Some(GuardKind::NonFiniteGradNorm);
-                }
+            if tc.guard == GuardPolicy::Abort {
+                return Err(TrainError::Diverged { epoch, step: t, kind });
             }
-            match tripped {
-                None => {
-                    opt.step();
-                    loss_sum += f64::from(lv);
-                    steps += 1;
+            let action = match last_good.as_mut() {
+                Some(good) => {
+                    model.store.load_json(&good.params)?;
+                    opt.import_state(&good.opt)
+                        .map_err(|e| TrainError::Checkpoint(CheckpointError::Malformed(e)))?;
+                    rng = good.rng.clone();
+                    opt.lr *= 0.5;
+                    // compound the backoff if the guard fires again
+                    good.opt.lr = opt.lr;
+                    GuardAction::RolledBack
                 }
-                Some(kind) => {
-                    opt.zero_grad();
-                    let action = match tc.guard {
-                        GuardPolicy::Abort => {
-                            return Err(TrainError::Diverged { epoch, step: t, kind })
-                        }
-                        GuardPolicy::SkipStep => GuardAction::Skipped,
-                        GuardPolicy::RollbackWithLrBackoff => {
-                            let good = last_good
-                                .as_mut()
-                                .expect("rollback policy keeps a good state");
-                            model.store.load_json(&good.params)?;
-                            opt.import_state(&good.opt).map_err(|e| {
-                                TrainError::Checkpoint(CheckpointError::Malformed(e))
-                            })?;
-                            rng = good.rng.clone();
-                            opt.lr *= 0.5;
-                            // compound the backoff if the guard fires again
-                            good.opt.lr = opt.lr;
-                            GuardAction::RolledBack
-                        }
-                    };
-                    report.guard_events.push(GuardEvent { epoch, step: t, kind, action });
-                }
-            }
-            global.add_snapshot(target, nr);
+                None => GuardAction::Skipped,
+            };
+            report.guard_events.push(GuardEvent { epoch, step: t, kind, action });
         }
         let mean_loss = (loss_sum / steps.max(1) as f64) as f32;
         report.epoch_losses.push(mean_loss);
@@ -421,7 +530,7 @@ pub fn train_with(
 
         let mut stop = false;
         if tc.patience > 0 {
-            let res = evaluate(&HisResEval { model }, data, Split::Valid);
+            let res = evaluate(&HisResEval { model }, data, Split::Valid); // lint:allow(panic-reachability): validation eval runs between epochs, not in the serving path; its asserts guard fixed invariants
             report.val_mrr.push(res.mrr);
             if tc.verbose {
                 eprintln!("epoch {epoch}: loss {mean_loss:.4}, valid MRR {:.2}", res.mrr); // lint:allow(no-debug-leftovers): per-epoch progress line, gated by the --quiet flag
@@ -736,6 +845,40 @@ mod tests {
             train_with(&other, &data, &tc, &opts),
             Err(TrainError::ResumeMismatch(_))
         ));
+    }
+
+    #[test]
+    fn global_cursor_matches_sequential_index() {
+        let tkg = Tkg::new(
+            6,
+            2,
+            vec![
+                Quad::new(0, 0, 1, 0),
+                Quad::new(1, 1, 2, 1),
+                Quad::new(2, 0, 3, 3),
+                Quad::new(3, 1, 4, 4),
+            ],
+        );
+        let snaps = hisres_graph::snapshot::partition(&tkg);
+        let nr = 2;
+        // reference: the index of every non-empty snapshot before step t
+        let reference = |t: usize| {
+            let mut g = GlobalHistoryIndex::new();
+            for s in snaps.iter().take(t).filter(|s| !s.triples.is_empty()) {
+                g.add_snapshot(s, nr);
+            }
+            g
+        };
+        let mut cursor = GlobalCursor::new();
+        for &t in &[1usize, 3, 4, 1, 4, 3] {
+            // includes rewinds
+            cursor.ensure(&snaps, t, nr);
+            let want = reference(t);
+            let q = [(0u32, 0u32), (1, 1), (2, 0), (3, 1)];
+            let a = cursor.index.relevant_graph_pruned(&q, usize::MAX);
+            let b = want.relevant_graph_pruned(&q, usize::MAX);
+            assert_eq!(a, b, "cursor diverged at t={t}");
+        }
     }
 
     #[test]

@@ -112,24 +112,6 @@ impl ConvTransE {
         s.give(fmap);
         q
     }
-
-    /// [`ConvTransE::score`] (eval mode) over a scratch arena: queries
-    /// every `(s, r)` pair against `entity_table`, `[b, num_entities]`.
-    /// Call inside `no_grad` so the scoring matmul takes the same blocked
-    /// dot kernel as the autograd eval path.
-    pub fn score_nograd(
-        &self,
-        s_emb: &NdArray,
-        r_emb: &NdArray,
-        entity_table: &NdArray,
-        s: &mut Scratch,
-    ) -> NdArray {
-        let q = self.query_nograd(s_emb, r_emb, s);
-        let mut out = s.take(q.rows(), entity_table.rows());
-        q.matmul_nt_into(entity_table, &mut out);
-        s.give(q);
-        out
-    }
 }
 
 #[cfg(test)]
@@ -196,25 +178,23 @@ mod tests {
         let dec = ConvTransE::new(&mut store, "dec", 8, 4, 3, 0.5, &mut rng);
         let s_emb = noise(3, 8, 4);
         let r_emb = noise(3, 8, 5);
-        let table = noise(17, 8, 6);
         let want = no_grad(|| {
-            dec.score(
+            dec.query(
                 &Tensor::constant(s_emb.clone()),
                 &Tensor::constant(r_emb.clone()),
-                &Tensor::constant(table.clone()),
                 false,
                 &mut rng,
             )
             .value_clone()
         });
         let mut s = Scratch::new();
-        let out = no_grad(|| dec.score_nograd(&s_emb, &r_emb, &table, &mut s));
+        let out = no_grad(|| dec.query_nograd(&s_emb, &r_emb, &mut s));
         assert!(bits_eq(&out, &want));
         s.give(out);
         let warm = s.misses();
-        let out2 = no_grad(|| dec.score_nograd(&s_emb, &r_emb, &table, &mut s));
+        let out2 = no_grad(|| dec.query_nograd(&s_emb, &r_emb, &mut s));
         assert!(bits_eq(&out2, &want));
-        assert_eq!(s.misses(), warm, "steady-state decoder score must not allocate");
+        assert_eq!(s.misses(), warm, "steady-state decoder query must not allocate");
         s.give(out2);
     }
 }

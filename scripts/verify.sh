@@ -163,7 +163,16 @@ if ! cmp -s "$smoke/straight.ckpt" "$smoke/resumed.ckpt"; then
     echo "straight 4-epoch run — deterministic resume is broken." >&2
     exit 1
 fi
-echo "crash-resume smoke test: OK (2+2 epochs == 4 epochs, byte-identical)"
+# The distributed trainer runs the same epoch loop, so it must resume
+# the single-process state to the same bytes too.
+"$bin" train "${common[@]}" --distributed --workers 2 \
+    --out "$smoke/dist_resumed.ckpt" --resume "$smoke/state.ckpt" 2>/dev/null
+if ! cmp -s "$smoke/straight.ckpt" "$smoke/dist_resumed.ckpt"; then
+    echo "ERROR: distributed training resumed from a 2-epoch state is not" >&2
+    echo "bit-identical to a straight 4-epoch run — distributed resume is broken." >&2
+    exit 1
+fi
+echo "crash-resume smoke test: OK (2+2 epochs == 4 epochs, byte-identical, single-process and --distributed --workers 2)"
 
 # ---- serve smoke test -------------------------------------------------------
 # Drive the JSONL serving loop end to end over the checkpoint trained above:

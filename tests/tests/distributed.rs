@@ -9,7 +9,7 @@
 
 use hisres::dist::{train_distributed, DistConfig, DistReport, LossPolicy};
 use hisres::trainer::{train_with, TrainError, TrainOptions, TrainReport};
-use hisres::{HisRes, HisResConfig, TrainConfig};
+use hisres::{GuardAction, GuardPolicy, HisRes, HisResConfig, TrainCheckpoint, TrainConfig};
 use hisres_comms::HeartbeatConfig;
 use hisres_data::synthetic::{generate, SyntheticConfig};
 use hisres_data::DatasetSplits;
@@ -60,40 +60,49 @@ fn temp_state(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("hisres_dist_{tag}_{}.ckpt", std::process::id()))
 }
 
-/// Single-process reference run, returning (params json, report, state bytes).
-fn baseline(epochs: usize, patience: usize, tag: &str) -> (String, TrainReport, Vec<u8>) {
+/// Single-process reference run of `tc`, returning (params json, report,
+/// state bytes).
+fn baseline(tc: &TrainConfig, tag: &str) -> (String, TrainReport, Vec<u8>) {
     let data = tiny_data();
     let model = tiny_model();
     let state = temp_state(&format!("{tag}_ref"));
     let opts = TrainOptions { state_path: Some(state.clone()), ..Default::default() };
-    let report = train_with(&model, &data, &tc(epochs, patience), &opts).unwrap();
+    let report = train_with(&model, &data, tc, &opts).unwrap();
     let bytes = std::fs::read(&state).unwrap();
     std::fs::remove_file(&state).ok();
     (model.store.to_json(), report, bytes)
 }
 
-/// Distributed run under `dc`, returning (params json, dist report, state bytes).
+/// Distributed run of `tc` under `dc` with `opts` (its state path replaced
+/// by a temp file), returning (params json, dist report, state bytes). A
+/// resumed run starts from the model its checkpoint builds, as the CLI's.
 fn distributed(
-    epochs: usize,
-    patience: usize,
+    tc: &TrainConfig,
+    opts: TrainOptions<'_>,
     tag: &str,
     dc: &DistConfig,
 ) -> Result<(String, DistReport, Vec<u8>), TrainError> {
     let data = tiny_data();
-    let model = tiny_model();
+    let model = opts.resume.as_ref().map_or_else(tiny_model, |ck| ck.build_model().unwrap());
     let state = temp_state(tag);
-    let opts = TrainOptions { state_path: Some(state.clone()), ..Default::default() };
-    let report = train_distributed(&model, &data, &tc(epochs, patience), &opts, dc)?;
+    let opts = TrainOptions { state_path: Some(state.clone()), ..opts };
+    let report = train_distributed(&model, &data, tc, &opts, dc)?;
     let bytes = std::fs::read(&state).unwrap();
     std::fs::remove_file(&state).ok();
     Ok((model.store.to_json(), report, bytes))
 }
 
-/// Asserts a distributed result equals the single-process reference bit
-/// for bit: parameters, per-epoch losses, and the saved training state.
-fn assert_byte_identical(tag: &str, epochs: usize, patience: usize, dc: &DistConfig) -> DistReport {
-    let (ref_params, ref_report, ref_state) = baseline(epochs, patience, tag);
-    let (params, dist, state) = distributed(epochs, patience, tag, dc).unwrap();
+/// Asserts a distributed run of `tc` with `opts` equals the straight
+/// single-process run of `tc` bit for bit: parameters, per-epoch losses,
+/// guard events, and the saved training state.
+fn assert_byte_identical(
+    tag: &str,
+    tc: &TrainConfig,
+    opts: TrainOptions<'_>,
+    dc: &DistConfig,
+) -> DistReport {
+    let (ref_params, ref_report, ref_state) = baseline(tc, tag);
+    let (params, dist, state) = distributed(tc, opts, tag, dc).unwrap();
     assert_eq!(params, ref_params, "{tag}: final parameters diverged");
     assert_eq!(state, ref_state, "{tag}: training-state checkpoint bytes diverged");
     let bits = |r: &TrainReport| r.epoch_losses.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
@@ -103,12 +112,14 @@ fn assert_byte_identical(tag: &str, epochs: usize, patience: usize, dc: &DistCon
         ref_report.best_val_mrr.to_bits(),
         "{tag}: validation MRR diverged"
     );
+    assert_eq!(dist.train.guard_events, ref_report.guard_events, "{tag}: guard events diverged");
     dist
 }
 
 #[test]
 fn sync_two_workers_is_byte_identical_to_single_process() {
-    let dist = assert_byte_identical("sync2", 3, 2, &dist_cfg(2, vec![]));
+    let dist =
+        assert_byte_identical("sync2", &tc(3, 2), TrainOptions::default(), &dist_cfg(2, vec![]));
     assert!(dist.worker_losses.is_empty(), "clean run reported losses: {:?}", dist.worker_losses);
     assert_eq!(dist.respawns, 0);
 }
@@ -117,8 +128,12 @@ fn sync_two_workers_is_byte_identical_to_single_process() {
 fn sync_is_byte_identical_at_one_and_four_workers() {
     // the worker count only changes which process computes a step
     for workers in [1, 4] {
-        let dist =
-            assert_byte_identical(&format!("sync{workers}"), 2, 0, &dist_cfg(workers, vec![]));
+        let dist = assert_byte_identical(
+            &format!("sync{workers}"),
+            &tc(2, 0),
+            TrainOptions::default(),
+            &dist_cfg(workers, vec![]),
+        );
         assert!(
             dist.worker_losses.is_empty(),
             "{workers} workers: {:?}",
@@ -132,7 +147,8 @@ fn sigkilled_worker_mid_epoch_respawns_byte_identical() {
     // worker 0 SIGKILLs itself on its 3rd assigned step — mid-epoch, with
     // steps in flight; the supervisor respawns it and re-dispatches
     let extra = vec![vec!["--die-on-step".into(), "2".into()], vec![]];
-    let dist = assert_byte_identical("sigkill", 2, 0, &dist_cfg(2, extra));
+    let dist =
+        assert_byte_identical("sigkill", &tc(2, 0), TrainOptions::default(), &dist_cfg(2, extra));
     assert!(dist.respawns >= 1, "the killed worker was never respawned");
     assert!(
         dist.worker_losses.iter().any(|e| e.worker == 0 && e.action == "respawn"),
@@ -146,7 +162,7 @@ fn sigkilled_worker_redistributes_byte_identical() {
     let extra = vec![vec![], vec!["--die-on-step".into(), "1".into()]];
     let mut dc = dist_cfg(2, extra);
     dc.on_loss = LossPolicy::Redistribute;
-    let dist = assert_byte_identical("redist", 2, 0, &dc);
+    let dist = assert_byte_identical("redist", &tc(2, 0), TrainOptions::default(), &dc);
     assert_eq!(dist.respawns, 0);
     assert!(
         dist.worker_losses.iter().any(|e| e.worker == 1 && e.action == "redistribute"),
@@ -159,7 +175,8 @@ fn sigkilled_worker_redistributes_byte_identical() {
 fn torn_frame_surfaces_as_typed_fault_and_recovers_byte_identical() {
     // worker 0's 2nd result frame is cut off 8 bytes into the header
     let extra = vec![vec!["--net-faults".into(), "1:truncate".into()], vec![]];
-    let dist = assert_byte_identical("torn", 2, 0, &dist_cfg(2, extra));
+    let dist =
+        assert_byte_identical("torn", &tc(2, 0), TrainOptions::default(), &dist_cfg(2, extra));
     assert!(
         dist.worker_losses.iter().any(|e| e.cause.contains("torn frame")),
         "expected a torn-frame cause: {:?}",
@@ -170,7 +187,8 @@ fn torn_frame_surfaces_as_typed_fault_and_recovers_byte_identical() {
 #[test]
 fn corrupted_checksum_surfaces_as_typed_fault_and_recovers_byte_identical() {
     let extra = vec![vec![], vec!["--net-faults".into(), "1:corrupt".into()]];
-    let dist = assert_byte_identical("corrupt", 2, 0, &dist_cfg(2, extra));
+    let dist =
+        assert_byte_identical("corrupt", &tc(2, 0), TrainOptions::default(), &dist_cfg(2, extra));
     assert!(
         dist.worker_losses.iter().any(|e| e.cause.contains("checksum mismatch")),
         "expected a checksum-mismatch cause: {:?}",
@@ -188,7 +206,7 @@ fn stalled_heartbeat_is_detected_and_recovers_byte_identical() {
     let mut dc = dist_cfg(2, extra);
     dc.heartbeat =
         HeartbeatConfig { interval: Duration::from_millis(20), timeout: Duration::from_millis(150) };
-    let dist = assert_byte_identical("stall", 8, 0, &dc);
+    let dist = assert_byte_identical("stall", &tc(8, 0), TrainOptions::default(), &dc);
     assert!(
         dist.worker_losses.iter().any(|e| e.cause.contains("heartbeat silent")),
         "expected a heartbeat-silence cause: {:?}",
@@ -201,7 +219,7 @@ fn abort_policy_returns_a_typed_worker_lost_error() {
     let extra = vec![vec!["--die-on-step".into(), "0".into()], vec![]];
     let mut dc = dist_cfg(2, extra);
     dc.on_loss = LossPolicy::Abort;
-    match distributed(2, 0, "abort", &dc) {
+    match distributed(&tc(2, 0), TrainOptions::default(), "abort", &dc) {
         Err(TrainError::WorkerLost { worker: 0, .. }) => {}
         other => panic!("expected WorkerLost for worker 0, got {other:?}"),
     }
@@ -215,10 +233,45 @@ fn respawn_budget_exhaustion_escalates_to_worker_lost() {
         vec![vec!["--die-on-step".into(), "0".into()], vec!["--die-on-step".into(), "0".into()]];
     let mut dc = dist_cfg(2, extra);
     dc.max_respawns = 0;
-    match distributed(2, 0, "budget", &dc) {
+    match distributed(&tc(2, 0), TrainOptions::default(), "budget", &dc) {
         Err(TrainError::WorkerLost { cause, .. }) => {
             assert!(cause.contains("respawn budget"), "unexpected cause: {cause}");
         }
         other => panic!("expected a respawn-budget WorkerLost, got {other:?}"),
     }
+}
+
+#[test]
+fn firing_rollback_guard_is_byte_identical() {
+    // a learning rate so large the first Adam step blows the parameters
+    // up, so the guard fires and rolls back again and again
+    let diverging = TrainConfig {
+        epochs: 2,
+        lr: 1e30,
+        patience: 0,
+        guard: GuardPolicy::RollbackWithLrBackoff,
+        ..Default::default()
+    };
+    let dist = assert_byte_identical(
+        "rollback",
+        &diverging,
+        TrainOptions::default(),
+        &dist_cfg(2, vec![]),
+    );
+    assert!(!dist.train.guard_events.is_empty(), "the rollback guard never fired");
+    assert!(dist.train.guard_events.iter().all(|e| e.action == GuardAction::RolledBack));
+}
+
+#[test]
+fn distributed_resume_from_single_process_state_is_byte_identical() {
+    // two single-process epochs save a state; a distributed run resumes
+    // it to four epochs and must equal four straight epochs
+    let state = temp_state("resume_src");
+    let opts = TrainOptions { state_path: Some(state.clone()), ..Default::default() };
+    train_with(&tiny_model(), &tiny_data(), &tc(2, 2), &opts).unwrap();
+    let ck = TrainCheckpoint::load(&state).unwrap();
+    std::fs::remove_file(&state).ok();
+    assert_eq!(ck.epoch, 2);
+    let opts = TrainOptions { resume: Some(ck), ..Default::default() };
+    assert_byte_identical("resume", &tc(4, 2), opts, &dist_cfg(2, vec![]));
 }
