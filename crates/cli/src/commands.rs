@@ -7,13 +7,11 @@ use hisres::serve::{
     ServeEngine, SessionScorer,
 };
 use hisres::ingest::{IngestSession, IngestSessionConfig};
-use hisres::dist::{train_distributed, DistConfig, LossPolicy, WorkerConfig};
 use hisres::trainer::{train_with, HisResEval, TrainOptions};
 use hisres::{
     evaluate, evaluate_relations, score_at, GuardPolicy, HisRes, HisResConfig, ScoreCtx, Split,
     TrainCheckpoint, TrainConfig,
 };
-use hisres_comms::{HeartbeatConfig, NetFaultInjector};
 use hisres_baselines::FrequencyScorer;
 use hisres_util::fsio::{atomic_write, FaultInjector};
 use hisres_util::retry::BackoffPolicy;
@@ -88,23 +86,8 @@ pub fn stats(args: &Args) -> CmdResult {
 /// full training state is checkpointed atomically after every epoch; with
 /// `--resume` an interrupted run continues bit-identically from such a
 /// state file (model flags are then taken from the state, not the CLI).
-/// Splits a per-worker fault-injection spec `W@VALUE` into its slot id
-/// and payload (e.g. `--dist-die-on 1@0` kills worker 1 on its first
-/// assigned step).
-fn parse_slot_spec(flag: &str, v: &str) -> Result<(usize, String), Box<dyn std::error::Error>> {
-    match v.split_once('@') {
-        Some((w, rest)) => {
-            let slot: usize =
-                w.parse().map_err(|_| format!("--{flag}: bad worker id in {v:?}"))?;
-            Ok((slot, rest.to_owned()))
-        }
-        None => Err(format!("--{flag} expects WORKER@VALUE, got {v:?}").into()),
-    }
-}
-
 pub fn train_cmd(args: &Args) -> CmdResult {
-    let data_spec = args.require("data")?.to_owned();
-    let data = resolve_data(&data_spec)?;
+    let data = resolve_data(args.require("data")?)?;
     let out = args.require("out")?.to_owned();
     let resume = args.get("resume").map(str::to_owned);
     let state = args.get("state").map(std::path::PathBuf::from);
@@ -141,30 +124,6 @@ pub fn train_cmd(args: &Args) -> CmdResult {
         guard,
         ..Default::default()
     };
-
-    // distributed options (all ignored without --distributed)
-    let distributed = args.flag("distributed");
-    let dist_workers = args.get_parse("workers", 2usize)?;
-    let on_loss: LossPolicy = args.get("on-worker-loss").unwrap_or("respawn").parse()?;
-    let heartbeat_ms = args.get_parse("heartbeat-ms", 250u64)?;
-    let heartbeat_timeout_ms = args.get_parse("heartbeat-timeout-ms", 2_000u64)?;
-    let step_timeout_ms = args.get_parse("step-timeout-ms", 60_000u64)?;
-    let max_respawns = args.get_parse("max-respawns", 3usize)?;
-    // hidden fault-injection hooks (verify.sh recovery pass, tests)
-    let mut worker_extra_args = vec![Vec::new(); dist_workers.max(1)];
-    let mut inject = |flag: &str, worker_flag: &str| -> CmdResult {
-        if let Some(v) = args.get(flag) {
-            let (slot, value) = parse_slot_spec(flag, v)?;
-            if slot >= dist_workers {
-                return Err(format!("--{flag}: worker {slot} out of {dist_workers}").into());
-            }
-            worker_extra_args[slot].extend([worker_flag.to_owned(), value]);
-        }
-        Ok(())
-    };
-    inject("dist-die-on", "--die-on-step")?;
-    inject("dist-stall-heartbeats", "--stall-heartbeats-after")?;
-    inject("dist-net-faults", "--net-faults")?;
     args.reject_unknown()?;
 
     let (model, resume_ck) = match &resume {
@@ -198,39 +157,7 @@ pub fn train_cmd(args: &Args) -> CmdResult {
         model.store.num_scalars()
     );
     let opts = TrainOptions { resume: resume_ck, state_path: state, ..Default::default() };
-    let report = if distributed {
-        let mut base_args = vec!["dist-worker".to_owned(), "--data".to_owned(), data_spec];
-        if !tc.verbose {
-            base_args.push("--quiet".to_owned());
-        }
-        let dc = DistConfig {
-            workers: dist_workers,
-            on_loss,
-            heartbeat: HeartbeatConfig {
-                interval: std::time::Duration::from_millis(heartbeat_ms.max(1)),
-                timeout: std::time::Duration::from_millis(heartbeat_timeout_ms.max(1)),
-            },
-            step_timeout: std::time::Duration::from_millis(step_timeout_ms.max(1)),
-            worker_exe: std::env::current_exe()?,
-            worker_base_args: base_args,
-            worker_extra_args,
-            max_respawns,
-        };
-        let dr = train_distributed(&model, &data, &tc, &opts, &dc)?;
-        for ev in &dr.worker_losses {
-            // one line per incident, parsed by verify.sh's distributed smoke test
-            eprintln!(
-                "dist: worker {} recovered in {} ms via {} ({})",
-                ev.worker, ev.recovered_ms, ev.action, ev.cause
-            );
-        }
-        if dr.respawns > 0 {
-            eprintln!("dist: {} worker respawn(s) total", dr.respawns);
-        }
-        dr.train
-    } else {
-        train_with(&model, &data, &tc, &opts)?
-    };
+    let report = train_with(&model, &data, &tc, &opts)?;
     model.save_checkpoint(&out)?;
     if !report.guard_events.is_empty() {
         eprintln!(
@@ -550,54 +477,6 @@ pub fn serve_cmd(args: &Args) -> CmdResult {
             serve_lines(&engine, stdin.lock(), stdout.lock())?;
         }
     }
-    Ok(())
-}
-
-/// `hisres dist-worker` — internal: one worker process of a
-/// `train --distributed` run. Spawned by the coordinator, never by hand;
-/// connects back to `--connect`, handshakes, heartbeats, and computes
-/// delegated gradient steps until told to shut down. The fault-injection
-/// flags (`--die-on-step`, `--stall-heartbeats-after`, `--net-faults`)
-/// exist so the test battery and verify.sh can manufacture worker
-/// failures on demand.
-pub fn dist_worker(args: &Args) -> CmdResult {
-    let data = resolve_data(args.require("data")?)?;
-    let connect: std::net::SocketAddr = args
-        .require("connect")?
-        .parse()
-        .map_err(|_| "--connect must be HOST:PORT")?;
-    let worker_id: u32 = args
-        .require("worker-id")?
-        .parse()
-        .map_err(|_| "--worker-id must be an integer")?;
-    let die_on_step = match args.get("die-on-step") {
-        Some(v) => {
-            Some(v.parse::<u64>().map_err(|_| format!("--die-on-step: cannot parse {v:?}"))?)
-        }
-        None => None,
-    };
-    let stall_heartbeats_after = match args.get("stall-heartbeats-after") {
-        Some(v) => Some(
-            v.parse::<u64>()
-                .map_err(|_| format!("--stall-heartbeats-after: cannot parse {v:?}"))?,
-        ),
-        None => None,
-    };
-    let net_faults = match args.get("net-faults") {
-        Some(spec) => NetFaultInjector::parse(spec)?,
-        None => NetFaultInjector::none(),
-    };
-    let verbose = !args.flag("quiet");
-    args.reject_unknown()?;
-    let wc = WorkerConfig {
-        connect,
-        worker_id,
-        die_on_step,
-        stall_heartbeats_after,
-        net_faults,
-        verbose,
-    };
-    hisres::dist::run_worker(&wc, &data)?;
     Ok(())
 }
 

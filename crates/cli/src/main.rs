@@ -36,13 +36,6 @@ COMMANDS:
              [--state FILE]   save full training state atomically each epoch
              [--resume FILE]  continue bit-identically from a state file
              [--guard skip|rollback|abort=skip]  NaN/divergence policy
-             [--distributed]  train across worker processes; sync mode is
-             byte-identical to single-process on the same seed, and stays
-             byte-identical when a worker dies mid-epoch and is respawned
-             [--workers N=2]
-             [--on-worker-loss respawn|redistribute|abort=respawn]
-             [--heartbeat-ms N=250] [--heartbeat-timeout-ms N=2000]
-             [--step-timeout-ms N=60000] [--max-respawns N=3]
   eval       Evaluate a trained model (time-aware filtered metrics)
              --model FILE --data DIR|NAME [--split test|valid] [--relations]
   predict    Rank objects for a query at the end of the known timeline
@@ -118,9 +111,6 @@ fn main() -> ExitCode {
         "predict" => commands::predict(&args),
         "serve" => commands::serve(&args),
         "lint" => commands::lint(&args),
-        // internal: worker process of `train --distributed` (spawned by
-        // the coordinator, not listed in the help text)
-        "dist-worker" => commands::dist_worker(&args),
         other => Err(format!("unknown command {other:?}; try `hisres help`").into()),
     };
     match result {

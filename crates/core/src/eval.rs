@@ -9,7 +9,6 @@
 
 use crate::model::{Encoded, HisRes};
 use crate::topk::BlockNorms;
-use crate::trainer::snapshots_of;
 use hisres_data::DatasetSplits;
 use hisres_graph::{EdgeList, GlobalHistoryIndex, Quad, RankMetrics, Snapshot, TimeFilter};
 use hisres_tensor::{no_grad, NdArray};
@@ -210,12 +209,6 @@ pub fn evaluate(model: &impl ExtrapolationModel, data: &DatasetSplits, split: Sp
         timeline.join(t, batch);
     }
     EvalResult::from_metrics(model.name(), &metrics)
-}
-
-/// Convenience: the dense snapshot timeline of a training split (used by
-/// trainers).
-pub fn train_snapshots(data: &DatasetSplits) -> Vec<Snapshot> {
-    snapshots_of(&data.train)
 }
 
 /// A prepared, owned scoring context at the end of a known timeline — the
@@ -449,6 +442,11 @@ pub(crate) fn score_topk(
 ///
 /// This task is HisRES-specific (the generic [`ExtrapolationModel`]
 /// protocol covers entity queries only), so it takes the model directly.
+///
+/// The encoding runs over an empty global graph. `G_t^H` is built from
+/// the `(s, r)` query pairs of a timestamp, and a relation query
+/// `(s, ?, o)` has no `r` to build it from. Training builds that graph from
+/// the target snapshot's true pairs, which a relation query must not see.
 pub fn evaluate_relations(model: &HisRes, data: &DatasetSplits, split: Split) -> EvalResult {
     let nr = data.num_relations() as u32;
     // relation-side time filter: reuse TimeFilter by recoding each event

@@ -53,7 +53,6 @@
 
 pub mod checkpoint;
 pub mod config;
-pub mod dist;
 pub mod eval;
 pub mod ingest;
 pub mod model;
@@ -64,10 +63,6 @@ pub mod trainer;
 
 pub use checkpoint::TrainCheckpoint;
 pub use config::{GlobalAggregator, GuardPolicy, HisResConfig, TrainConfig};
-pub use dist::{
-    run_worker, train_distributed, DistConfig, DistReport, LossPolicy, WorkerConfig,
-    WorkerLossEvent,
-};
 pub use eval::{
     evaluate, evaluate_relations, score_at, score_at_topk, EvalResult, ExtrapolationModel,
     HistoryCtx, ScoreCtx, Split,

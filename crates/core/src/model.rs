@@ -761,6 +761,27 @@ impl HisRes {
         self.dec_rel.score(&s_emb, &o_emb, &enc.relations, training, rng)
     }
 
+    /// The joint objective of eq. 15 over one encoding:
+    /// `α·CE(entities) + (1−α)·CE(relations)`, where entity query `i`
+    /// targets `targets[i]` and relation pair `j` targets `rel_targets[j]`.
+    fn joint_loss<R: Rng>(
+        &self,
+        enc: &Encoded,
+        queries: &[(u32, u32)],
+        targets: &[u32],
+        pairs: &[(u32, u32)],
+        rel_targets: &[u32],
+        rng: &mut R,
+    ) -> Tensor {
+        let ent = self
+            .score_objects(enc, queries, true, rng)
+            .softmax_cross_entropy(targets);
+        let rel = self
+            .score_relations(enc, pairs, true, rng)
+            .softmax_cross_entropy(rel_targets);
+        ent.scale(self.cfg.alpha).add(&rel.scale(1.0 - self.cfg.alpha))
+    }
+
     /// The joint training loss at one timestamp (eq. 15).
     ///
     /// `triples` are the ground-truth events of the target snapshot; the
@@ -777,33 +798,18 @@ impl HisRes {
         let nr = self.num_relations as u32;
         let enc = self.encode(history, predict_t, global_graph, true, rng);
 
-        // entity prediction: raw + inverse queries
-        let mut queries: Vec<(u32, u32)> = Vec::with_capacity(triples.len() * 2);
-        let mut targets: Vec<u32> = Vec::with_capacity(triples.len() * 2);
+        // entity prediction over raw + inverse queries, relation
+        // prediction over both orientations
+        let n = triples.len() * 2;
+        let (mut queries, mut targets) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        let (mut pairs, mut rel_targets) = (Vec::with_capacity(n), Vec::with_capacity(n));
         for &(s, r, o) in triples {
-            queries.push((s, r));
-            targets.push(o);
-            queries.push((o, r + nr));
-            targets.push(s);
+            queries.extend([(s, r), (o, r + nr)]);
+            targets.extend([o, s]);
+            pairs.extend([(s, o), (o, s)]);
+            rel_targets.extend([r, r + nr]);
         }
-        let ent_logits = self.score_objects(&enc, &queries, true, rng);
-        let ent_loss = ent_logits.softmax_cross_entropy(&targets);
-
-        // relation prediction: both orientations
-        let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(triples.len() * 2);
-        let mut rel_targets: Vec<u32> = Vec::with_capacity(triples.len() * 2);
-        for &(s, r, o) in triples {
-            pairs.push((s, o));
-            rel_targets.push(r);
-            pairs.push((o, s));
-            rel_targets.push(r + nr);
-        }
-        let rel_logits = self.score_relations(&enc, &pairs, true, rng);
-        let rel_loss = rel_logits.softmax_cross_entropy(&rel_targets);
-
-        ent_loss
-            .scale(self.cfg.alpha)
-            .add(&rel_loss.scale(1.0 - self.cfg.alpha))
+        self.joint_loss(&enc, &queries, &targets, &pairs, &rel_targets, rng)
     }
 
     /// The joint loss under two-phase propagation (§4.1.3): the raw and
@@ -822,38 +828,22 @@ impl HisRes {
         assert!(!triples.is_empty(), "loss on an empty snapshot");
         let nr = self.num_relations as u32;
 
-        let phase = |graph: &EdgeList,
-                     queries: Vec<(u32, u32)>,
-                     targets: Vec<u32>,
-                     pairs: Vec<(u32, u32)>,
-                     rel_targets: Vec<u32>,
-                     rng: &mut R| {
-            let enc = self.encode(history, predict_t, graph, true, rng);
-            let ent = self
-                .score_objects(&enc, &queries, true, rng)
-                .softmax_cross_entropy(&targets);
-            let rel = self
-                .score_relations(&enc, &pairs, true, rng)
-                .softmax_cross_entropy(&rel_targets);
-            ent.scale(self.cfg.alpha).add(&rel.scale(1.0 - self.cfg.alpha))
+        let raw_loss = {
+            let queries: Vec<(u32, u32)> = triples.iter().map(|&(s, r, _)| (s, r)).collect();
+            let targets: Vec<u32> = triples.iter().map(|&(_, _, o)| o).collect();
+            let pairs: Vec<(u32, u32)> = triples.iter().map(|&(s, _, o)| (s, o)).collect();
+            let rels: Vec<u32> = triples.iter().map(|&(_, r, _)| r).collect();
+            let enc = self.encode(history, predict_t, raw_graph, true, rng);
+            self.joint_loss(&enc, &queries, &targets, &pairs, &rels, rng)
         };
-
-        let raw_loss = phase(
-            raw_graph,
-            triples.iter().map(|&(s, r, _)| (s, r)).collect(),
-            triples.iter().map(|&(_, _, o)| o).collect(),
-            triples.iter().map(|&(s, _, o)| (s, o)).collect(),
-            triples.iter().map(|&(_, r, _)| r).collect(),
-            rng,
-        );
-        let inv_loss = phase(
-            inv_graph,
-            triples.iter().map(|&(_, r, o)| (o, r + nr)).collect(),
-            triples.iter().map(|&(s, _, _)| s).collect(),
-            triples.iter().map(|&(s, _, o)| (o, s)).collect(),
-            triples.iter().map(|&(_, r, _)| r + nr).collect(),
-            rng,
-        );
+        let inv_loss = {
+            let queries: Vec<(u32, u32)> = triples.iter().map(|&(_, r, o)| (o, r + nr)).collect();
+            let targets: Vec<u32> = triples.iter().map(|&(s, _, _)| s).collect();
+            let pairs: Vec<(u32, u32)> = triples.iter().map(|&(s, _, o)| (o, s)).collect();
+            let rels: Vec<u32> = triples.iter().map(|&(_, r, _)| r + nr).collect();
+            let enc = self.encode(history, predict_t, inv_graph, true, rng);
+            self.joint_loss(&enc, &queries, &targets, &pairs, &rels, rng)
+        };
         raw_loss.add(&inv_loss).scale(0.5)
     }
 

@@ -8,11 +8,6 @@
 //! bit-identically, and release-mode divergence guards
 //! ([`crate::config::GuardPolicy`]) catch non-finite losses and gradient
 //! norms instead of silently poisoning the parameters.
-//!
-//! One epoch loop serves both [`train_with`] and
-//! [`crate::dist::train_distributed`]; they differ only in the
-//! `StepExecutor` that computes a step, and both executors end in the
-//! one step kernel `compute_step`.
 
 use crate::checkpoint::TrainCheckpoint;
 use crate::config::{GuardPolicy, TrainConfig};
@@ -129,19 +124,6 @@ pub enum TrainError {
     },
     /// A resume checkpoint does not match the model or dataset.
     ResumeMismatch(String),
-    /// A wire-protocol failure that survived retry and recovery
-    /// (distributed training).
-    Comms(hisres_comms::WireError),
-    /// A worker was lost and the `--on-worker-loss` policy did not allow
-    /// (or could not complete) recovery.
-    WorkerLost {
-        /// Slot id of the lost worker.
-        worker: u32,
-        /// Why it was declared lost.
-        cause: String,
-    },
-    /// Spawning or supervising a worker process failed.
-    Supervise(String),
 }
 
 impl fmt::Display for TrainError {
@@ -153,11 +135,6 @@ impl fmt::Display for TrainError {
                 "training diverged at epoch {epoch}, step {step}: {kind:?} (GuardPolicy::Abort)"
             ),
             TrainError::ResumeMismatch(m) => write!(f, "cannot resume: {m}"),
-            TrainError::Comms(e) => write!(f, "distributed training comms failure: {e}"),
-            TrainError::WorkerLost { worker, cause } => {
-                write!(f, "worker {worker} lost ({cause}) and not recoverable under the loss policy")
-            }
-            TrainError::Supervise(m) => write!(f, "worker supervision failed: {m}"),
         }
     }
 }
@@ -166,7 +143,6 @@ impl std::error::Error for TrainError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             TrainError::Checkpoint(e) => Some(e),
-            TrainError::Comms(e) => Some(e),
             _ => None,
         }
     }
@@ -175,12 +151,6 @@ impl std::error::Error for TrainError {
 impl From<CheckpointError> for TrainError {
     fn from(e: CheckpointError) -> Self {
         TrainError::Checkpoint(e)
-    }
-}
-
-impl From<hisres_comms::WireError> for TrainError {
-    fn from(e: hisres_comms::WireError) -> Self {
-        TrainError::Comms(e)
     }
 }
 
@@ -261,16 +231,16 @@ impl GoodState {
 }
 
 /// Incremental view of the global history index before a step: replays
-/// non-empty snapshots in order up to (excluding) the requested step,
-/// rebuilding from scratch when asked to rewind (a new epoch, or a step
-/// redistributed from a worker that was behind this one).
-pub(crate) struct GlobalCursor {
+/// non-empty snapshots in order up to (excluding) the requested step.
+/// Steps only move forward within an epoch, so the cursor rewinds
+/// (rebuilds from scratch) only at the start of each later epoch.
+struct GlobalCursor {
     index: GlobalHistoryIndex,
     next_t: usize,
 }
 
 impl GlobalCursor {
-    pub(crate) fn new() -> GlobalCursor {
+    fn new() -> GlobalCursor {
         GlobalCursor { index: GlobalHistoryIndex::new(), next_t: 0 }
     }
 
@@ -290,17 +260,17 @@ impl GlobalCursor {
 }
 
 /// What one training step reports to the epoch loop.
-pub(crate) struct StepOutcome {
+struct StepOutcome {
     /// The step's loss.
-    pub(crate) loss: f32,
+    loss: f32,
     /// The global gradient norm before clipping; NaN when the loss was
     /// non-finite and no backward pass ran.
-    pub(crate) pre_clip: f32,
+    pre_clip: f32,
 }
 
 impl StepOutcome {
     /// The divergence guard's verdict: which value, if any, is non-finite.
-    pub(crate) fn tripped(&self) -> Option<GuardKind> {
+    fn tripped(&self) -> Option<GuardKind> {
         if !self.loss.is_finite() {
             Some(GuardKind::NonFiniteLoss)
         } else if !self.pre_clip.is_finite() {
@@ -356,13 +326,10 @@ fn step_loss(
     }
 }
 
-/// *The* step kernel: the single-process trainer and every distributed
-/// worker call this one function, so a step computed remotely is
-/// bit-identical to the same step computed locally (same snapshots, same
-/// RNG state in, same loss, gradients and RNG state out). Brings `cursor`
-/// to step `t`, zeroes the gradients, evaluates the loss, and only when it
-/// is finite runs backward and clips the gradients to `grad_clip`.
-pub(crate) fn compute_step(
+/// One training step: brings `cursor` to step `t`, zeroes the gradients,
+/// evaluates the loss, and only when it is finite runs backward and clips
+/// the gradients to `grad_clip`.
+fn compute_step(
     model: &HisRes,
     snaps: &[Snapshot],
     t: usize,
@@ -382,45 +349,6 @@ pub(crate) fn compute_step(
     StepOutcome { loss: lv, pre_clip }
 }
 
-/// Who computes the steps of the epoch loop: in process
-/// ([`train_with`]) or on supervised worker processes
-/// ([`crate::dist::train_distributed`]).
-pub(crate) trait StepExecutor {
-    /// Called before the first step of every epoch.
-    fn begin_epoch(&mut self) {}
-
-    /// Computes step `t` of `epoch` from `rng`, leaving `rng` advanced
-    /// exactly as the step advanced it. When the outcome trips no guard,
-    /// the model's gradients hold the step's clipped gradients on return.
-    fn run_step(
-        &mut self,
-        model: &HisRes,
-        snaps: &[Snapshot],
-        epoch: usize,
-        t: usize,
-        rng: &mut StdRng,
-    ) -> Result<StepOutcome, TrainError>;
-}
-
-/// The in-process executor of [`train_with`].
-struct LocalSteps {
-    cursor: GlobalCursor,
-    grad_clip: f32,
-}
-
-impl StepExecutor for LocalSteps {
-    fn run_step(
-        &mut self,
-        model: &HisRes,
-        snaps: &[Snapshot],
-        _epoch: usize,
-        t: usize,
-        rng: &mut StdRng,
-    ) -> Result<StepOutcome, TrainError> {
-        Ok(compute_step(model, snaps, t, &mut self.cursor, rng, self.grad_clip))
-    }
-}
-
 /// Trains with crash-safety options: resume from a saved training state
 /// (bit-identical to an uninterrupted run), atomic per-epoch state
 /// persistence, and release-mode divergence guards.
@@ -430,25 +358,9 @@ pub fn train_with(
     tc: &TrainConfig,
     opts: &TrainOptions<'_>,
 ) -> Result<TrainReport, TrainError> {
-    let mut local = LocalSteps { cursor: GlobalCursor::new(), grad_clip: tc.grad_clip };
-    drive(model, data, tc, opts, &mut local)
-}
-
-/// The one epoch loop behind [`train_with`] and
-/// [`crate::dist::train_distributed`]: resume, the divergence guards,
-/// validation with early stop, the per-epoch state save and the
-/// best-parameter restore. Only who computes a step differs, so both
-/// entry points produce the same report, parameters and state files.
-pub(crate) fn drive(
-    model: &HisRes,
-    data: &DatasetSplits,
-    tc: &TrainConfig,
-    opts: &TrainOptions<'_>,
-    exec: &mut dyn StepExecutor,
-) -> Result<TrainReport, TrainError> {
     let mut opt = Adam::new(model.store.params().cloned().collect(), tc.lr);
     let mut rng = StdRng::seed_from_u64(tc.seed);
-    let snaps = snapshots_of(&data.train); // lint:allow(panic-reachability): training-prep runs before serving; snapshot math asserts are programming-error guards
+    let snaps = snapshots_of(&data.train);
     let no_faults = FaultInjector::none();
     let faults = opts.faults.unwrap_or(&no_faults);
 
@@ -491,12 +403,12 @@ pub(crate) fn drive(
         .filter(|&t| !snaps[t].triples.is_empty())
         .collect();
 
+    let mut cursor = GlobalCursor::new();
     for epoch in start_epoch..tc.epochs {
-        exec.begin_epoch();
         let mut loss_sum = 0.0f64;
         let mut steps = 0usize;
         for &t in &work {
-            let out = exec.run_step(model, &snaps, epoch, t, &mut rng)?;
+            let out = compute_step(model, &snaps, t, &mut cursor, &mut rng, tc.grad_clip);
             // Divergence guard — always on, because divergence is
             // precisely a release-build, long-run phenomenon.
             let Some(kind) = out.tripped() else {
@@ -530,7 +442,7 @@ pub(crate) fn drive(
 
         let mut stop = false;
         if tc.patience > 0 {
-            let res = evaluate(&HisResEval { model }, data, Split::Valid); // lint:allow(panic-reachability): validation eval runs between epochs, not in the serving path; its asserts guard fixed invariants
+            let res = evaluate(&HisResEval { model }, data, Split::Valid);
             report.val_mrr.push(res.mrr);
             if tc.verbose {
                 eprintln!("epoch {epoch}: loss {mean_loss:.4}, valid MRR {:.2}", res.mrr); // lint:allow(no-debug-leftovers): per-epoch progress line, gated by the --quiet flag
@@ -822,6 +734,48 @@ mod tests {
         assert_eq!(bits(&r_straight.epoch_losses), bits(&r_resumed.epoch_losses));
         assert_eq!(r_straight.best_val_mrr.to_bits(), r_resumed.best_val_mrr.to_bits());
         assert_eq!(straight.store.to_json(), resumed.store.to_json());
+    }
+
+    #[test]
+    fn resume_across_a_firing_rollback_guard_is_bit_identical() {
+        let data = tiny_dataset();
+        let tc4 = TrainConfig { epochs: 4, ..diverging_tc(GuardPolicy::RollbackWithLrBackoff) };
+        let tmp = |tag: &str| {
+            std::env::temp_dir()
+                .join(format!("hisres_trainer_rollback_{tag}_{}.ckpt", std::process::id()))
+        };
+        let (straight_path, partial_path, resumed_path) =
+            (tmp("straight"), tmp("partial"), tmp("resumed"));
+
+        let straight = tiny_model();
+        let opts = TrainOptions { state_path: Some(straight_path.clone()), ..Default::default() };
+        let r_straight = train_with(&straight, &data, &tc4, &opts).unwrap();
+        // the guard must fire in the resumed epochs for this test to bite
+        assert!(r_straight.guard_events.iter().any(|e| e.epoch >= 2));
+
+        let interrupted = tiny_model();
+        let tc2 = TrainConfig { epochs: 2, ..tc4.clone() };
+        let opts = TrainOptions { state_path: Some(partial_path.clone()), ..Default::default() };
+        train_with(&interrupted, &data, &tc2, &opts).unwrap();
+        let ck = TrainCheckpoint::load(&partial_path).unwrap();
+        let resumed = ck.build_model().unwrap();
+        let opts = TrainOptions {
+            resume: Some(ck),
+            state_path: Some(resumed_path.clone()),
+            ..Default::default()
+        };
+        let r_resumed = train_with(&resumed, &data, &tc4, &opts).unwrap();
+
+        let straight_state = std::fs::read(&straight_path).unwrap();
+        let resumed_state = std::fs::read(&resumed_path).unwrap();
+        for p in [&straight_path, &partial_path, &resumed_path] {
+            std::fs::remove_file(p).ok();
+        }
+        let bits = |xs: &[f32]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&r_straight.epoch_losses), bits(&r_resumed.epoch_losses));
+        assert_eq!(r_straight.guard_events, r_resumed.guard_events);
+        assert_eq!(straight.store.to_json(), resumed.store.to_json());
+        assert!(straight_state == resumed_state, "final training-state files differ");
     }
 
     #[test]

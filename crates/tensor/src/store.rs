@@ -308,9 +308,8 @@ impl ParamStore {
     }
 
     /// Flattens every parameter value into one vector, in registration
-    /// order, bit-exact. The wire format for shipping a model state to a
-    /// distributed worker; both sides build the model from the same config
-    /// so registration order (and therefore layout) agrees.
+    /// order, bit-exact. Two models built from the same config register
+    /// their parameters in the same order, so they share this layout.
     pub fn export_flat(&self) -> Vec<f32> {
         let mut flat = Vec::with_capacity(self.num_scalars());
         for (_, t) in &self.entries {
@@ -337,48 +336,6 @@ impl ParamStore {
             let n = v.len();
             v.as_mut_slice().copy_from_slice(&flat[at..at + n]);
             at += n;
-        }
-        Ok(())
-    }
-
-    /// Clones out each parameter's accumulated gradient, in registration
-    /// order; `None` for parameters the step never touched.
-    pub fn export_grads(&self) -> Vec<Option<Vec<f32>>> {
-        self.entries
-            .iter()
-            .map(|(_, t)| t.grad().map(|g| g.as_slice().to_vec()))
-            .collect()
-    }
-
-    /// Replaces each parameter's gradient from an
-    /// [`ParamStore::export_grads`] vector (computed in another process).
-    /// Fails with a typed error on count or per-parameter length mismatch.
-    pub fn import_grads(&self, grads: &[Option<Vec<f32>>]) -> Result<(), CheckpointError> {
-        if grads.len() != self.entries.len() {
-            return Err(CheckpointError::Malformed(format!(
-                "gradient vector has {} entries, model has {} parameters",
-                grads.len(),
-                self.entries.len()
-            )));
-        }
-        // validate every shape before mutating anything
-        for ((name, t), g) in self.entries.iter().zip(grads) {
-            if let Some(g) = g {
-                let (rows, cols) = t.shape();
-                if g.len() != rows * cols {
-                    return Err(CheckpointError::Malformed(format!(
-                        "gradient for {name:?} has {} scalars, parameter is {rows}x{cols}",
-                        g.len()
-                    )));
-                }
-            }
-        }
-        for ((_, t), g) in self.entries.iter().zip(grads) {
-            let (rows, cols) = t.shape();
-            t.set_grad(
-                g.as_ref()
-                    .map(|g| NdArray::from_vec(g.clone(), &[rows, cols])),
-            );
         }
         Ok(())
     }
@@ -627,36 +584,6 @@ mod tests {
     }
 
     #[test]
-    fn grads_round_trip_preserving_none() {
-        let mut s = ParamStore::new();
-        let a = s.param("a", NdArray::scalar(2.0));
-        let _b = s.param("b", NdArray::zeros(1, 2));
-        a.mul(&a).backward(); // only `a` gets a gradient
-        let grads = s.export_grads();
-        assert_eq!(grads.len(), 2);
-        assert_eq!(grads[0].as_deref(), Some([4.0].as_slice()));
-        assert!(grads[1].is_none());
-
-        let mut other = ParamStore::new();
-        let oa = other.param("a", NdArray::scalar(0.0));
-        let ob = other.param("b", NdArray::zeros(1, 2));
-        other.import_grads(&grads).unwrap();
-        assert_eq!(oa.grad().unwrap().as_slice(), &[4.0]);
-        assert!(ob.grad().is_none());
-
-        // wrong per-param length is typed, and nothing is mutated
-        let bad = vec![Some(vec![1.0, 2.0]), None];
-        assert!(matches!(
-            other.import_grads(&bad),
-            Err(CheckpointError::Malformed(_))
-        ));
-        assert!(matches!(
-            other.import_grads(&grads[..1]),
-            Err(CheckpointError::Malformed(_))
-        ));
-    }
-
-    #[test]
     fn every_mutation_path_bumps_the_version() {
         use crate::optim::{Adam, Sgd};
         let mut s = ParamStore::new();
@@ -688,7 +615,7 @@ mod tests {
         bumped(&s, "Sgd::step");
         // reads, serialisation and gradient bookkeeping leave it alone
         let before = s.version();
-        let _ = (s.to_json(), s.export_flat(), s.export_grads(), s.num_scalars());
+        let _ = (s.to_json(), s.export_flat(), s.num_scalars());
         s.zero_grad();
         assert_eq!(s.version(), before);
     }

@@ -205,13 +205,6 @@ impl Tensor {
         *self.inner.grad.borrow_mut() = None;
     }
 
-    /// Replaces the accumulated gradient wholesale. Used to import
-    /// gradients computed in another process (distributed training);
-    /// `None` clears like [`Tensor::zero_grad`].
-    pub fn set_grad(&self, g: Option<NdArray>) {
-        *self.inner.grad.borrow_mut() = g;
-    }
-
     /// Returns a constant tensor sharing this node's current value but cut
     /// off from the graph.
     pub fn detach(&self) -> Tensor {

@@ -163,16 +163,7 @@ if ! cmp -s "$smoke/straight.ckpt" "$smoke/resumed.ckpt"; then
     echo "straight 4-epoch run — deterministic resume is broken." >&2
     exit 1
 fi
-# The distributed trainer runs the same epoch loop, so it must resume
-# the single-process state to the same bytes too.
-"$bin" train "${common[@]}" --distributed --workers 2 \
-    --out "$smoke/dist_resumed.ckpt" --resume "$smoke/state.ckpt" 2>/dev/null
-if ! cmp -s "$smoke/straight.ckpt" "$smoke/dist_resumed.ckpt"; then
-    echo "ERROR: distributed training resumed from a 2-epoch state is not" >&2
-    echo "bit-identical to a straight 4-epoch run — distributed resume is broken." >&2
-    exit 1
-fi
-echo "crash-resume smoke test: OK (2+2 epochs == 4 epochs, byte-identical, single-process and --distributed --workers 2)"
+echo "crash-resume smoke test: OK (2+2 epochs == 4 epochs, byte-identical)"
 
 # ---- serve smoke test -------------------------------------------------------
 # Drive the JSONL serving loop end to end over the checkpoint trained above:
@@ -289,33 +280,6 @@ if ! cmp -s "$smoke/t1.ckpt" "$smoke/t4.ckpt"; then
     exit 1
 fi
 echo "thread determinism smoke test: OK (1-thread == 4-thread checkpoint)"
-
-# ---- distributed training smoke test ----------------------------------------
-# Sync-mode distributed training must be byte-identical to single-process
-# training on the same seed (t1.ckpt from the smoke above uses the same
-# flags), and must STAY byte-identical when a worker is SIGKILLed
-# mid-epoch and respawned by the supervisor.
-"$bin" train --data "$smoke/data" --dim 8 --epochs 2 --patience 0 --quiet \
-    --distributed --workers 2 --out "$smoke/dist.ckpt" 2>/dev/null
-if ! cmp -s "$smoke/t1.ckpt" "$smoke/dist.ckpt"; then
-    echo "ERROR: --distributed --workers 2 produced a different checkpoint" >&2
-    echo "than single-process training — sync mode is not byte-identical." >&2
-    exit 1
-fi
-"$bin" train --data "$smoke/data" --dim 8 --epochs 2 --patience 0 --quiet \
-    --distributed --workers 2 --dist-die-on 0@2 \
-    --out "$smoke/dist_kill.ckpt" 2>"$smoke/dist_kill.log"
-if ! grep -q "dist: worker 0 recovered in .* via respawn" "$smoke/dist_kill.log"; then
-    echo "ERROR: the forced worker kill was never detected/recovered:" >&2
-    cat "$smoke/dist_kill.log" >&2
-    exit 1
-fi
-if ! cmp -s "$smoke/t1.ckpt" "$smoke/dist_kill.ckpt"; then
-    echo "ERROR: the checkpoint differs after a worker was SIGKILLed" >&2
-    echo "mid-epoch and respawned — crash recovery is not byte-identical." >&2
-    exit 1
-fi
-echo "distributed smoke test: OK (2-worker sync == single-process, kill-recovery byte-identical)"
 
 # ---- online ingestion crash-recovery smoke test ------------------------------
 # Serve with a live WAL-backed ingest session, stream ingest batches at it,
