@@ -121,16 +121,16 @@ pub(crate) fn split_quads(data: &DatasetSplits, split: Split) -> &[Quad] {
 
 /// The ground-truth timeline an evaluation walks: every event before the
 /// evaluated split as dense snapshots that also cover the split's own
-/// timestamps, the global history index over them, and each evaluated
-/// step's ground truth joined once it is ranked. The history is built as
-/// [`ScoreCtx`] builds a served timeline (sorted, deduplicated snapshots,
-/// as in training), so a split that repeats a quad is evaluated on the
-/// edges the model was trained and is served on.
+/// timestamps, and each evaluated step's ground truth joined once it is
+/// ranked. The history is built as [`ScoreCtx`] builds a served timeline
+/// (sorted, deduplicated snapshots, as in training), so a split that
+/// repeats a quad is evaluated on the edges the model was trained and is
+/// served on. An evaluator that reads the global history builds it with
+/// [`EvalTimeline::index`] and grows it with each joined snapshot;
+/// [`evaluate_relations`] reads none and builds none.
 pub(crate) struct EvalTimeline {
     /// Dense snapshots `0..=` the split's last timestamp.
     pub(crate) snapshots: Vec<Snapshot>,
-    /// `(s, r) → {o}` index over every joined snapshot.
-    pub(crate) global: GlobalHistoryIndex,
     num_relations: usize,
 }
 
@@ -142,20 +142,31 @@ impl EvalTimeline {
         if split == Split::Test {
             history.extend_from_slice(&data.valid.quads);
         }
-        let ScoreCtx { mut snapshots, global, .. } =
-            ScoreCtx::from_quads(data.num_entities(), data.num_relations(), history);
+        let tkg = hisres_graph::Tkg::new(data.num_entities(), data.num_relations(), history);
+        let mut snapshots = hisres_graph::snapshot::partition(&tkg);
         let end = split_quads(data, split).iter().map(|q| q.t + 1).max().unwrap_or(0);
         snapshots.extend((snapshots.len() as u32..end).map(|t| Snapshot { t, triples: Vec::new() }));
-        EvalTimeline { snapshots, global, num_relations: data.num_relations() }
+        EvalTimeline { snapshots, num_relations: data.num_relations() }
     }
 
-    /// Joins the ground truth `batch` of step `t` to the history.
-    pub(crate) fn join(&mut self, t: u32, batch: &[Quad]) {
+    /// The `(s, r) → {o}` index over every snapshot joined so far, raw and
+    /// inverse, as [`ScoreCtx::from_quads`] builds it.
+    pub(crate) fn index(&self) -> GlobalHistoryIndex {
+        let mut global = GlobalHistoryIndex::new();
+        for snap in &self.snapshots {
+            global.add_snapshot(snap, self.num_relations);
+        }
+        global
+    }
+
+    /// Joins the ground truth `batch` of step `t` to the history and
+    /// returns the joined snapshot, for a caller's index to add.
+    pub(crate) fn join(&mut self, t: u32, batch: &[Quad]) -> &Snapshot {
         let snap = &mut self.snapshots[t as usize];
         snap.triples.extend(batch.iter().map(|q| (q.s, q.r, q.o)));
         snap.triples.sort_unstable();
         snap.triples.dedup();
-        self.global.add_snapshot(snap, self.num_relations);
+        snap
     }
 }
 
@@ -164,6 +175,7 @@ pub fn evaluate(model: &impl ExtrapolationModel, data: &DatasetSplits, split: Sp
     let nr = data.num_relations() as u32;
     let filter = build_filter(data);
     let mut timeline = EvalTimeline::new(data, split);
+    let mut global = timeline.index();
     let mut metrics = RankMetrics::default();
     // one step per timestamp, ascending (quads are sorted)
     for batch in split_quads(data, split).chunk_by(|a, b| a.t == b.t) {
@@ -183,7 +195,7 @@ pub fn evaluate(model: &impl ExtrapolationModel, data: &DatasetSplits, split: Sp
         let ctx = HistoryCtx {
             snapshots: &timeline.snapshots[..t as usize],
             t,
-            global: &timeline.global,
+            global: &global,
             num_entities: data.num_entities(),
             num_relations: data.num_relations(),
         };
@@ -206,7 +218,7 @@ pub fn evaluate(model: &impl ExtrapolationModel, data: &DatasetSplits, split: Sp
         for &rank in &ranks {
             metrics.push(rank);
         }
-        timeline.join(t, batch);
+        global.add_snapshot(timeline.join(t, batch), data.num_relations());
     }
     EvalResult::from_metrics(model.name(), &metrics)
 }

@@ -35,12 +35,13 @@ pub fn evaluate_multistep(
 
     // ground-truth timeline (kept in sync at block boundaries)
     let mut timeline = EvalTimeline::new(data, split);
+    let mut global = timeline.index();
     let mut per_offset: Vec<RankMetrics> = vec![RankMetrics::default(); horizon];
     let groups: Vec<&[Quad]> = split_quads(data, split).chunk_by(|a, b| a.t == b.t).collect();
 
     for block in groups.chunks(horizon) {
         // block-local state: predicted snapshots overlay the GT timeline
-        let mut block_global = timeline.global.clone();
+        let mut block_global = global.clone();
         let mut overlays: SnapshotOverlay = Vec::new();
 
         for (offset, batch) in block.iter().enumerate() {
@@ -91,7 +92,7 @@ pub fn evaluate_multistep(
             timeline.snapshots[idx].triples = original;
         }
         for batch in block {
-            timeline.join(batch[0].t, batch);
+            global.add_snapshot(timeline.join(batch[0].t, batch), data.num_relations());
         }
     }
     finish(model, per_offset)

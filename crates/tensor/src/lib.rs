@@ -27,7 +27,11 @@
 //! the old single-threaded behaviour exactly). Parallelism never trades
 //! away determinism: every kernel partitions its *output* into disjoint
 //! chunks computed in serial inner-loop order, so results are bit-identical
-//! for every thread count — `tests/parallel_props.rs` asserts this.
+//! for every thread count — `tests/parallel_props.rs` asserts this. The
+//! gradient products (`matmul_tn`, grad-mode `matmul_nt`) share one
+//! register-blocked kernel that keeps the serial per-element accumulation
+//! order, so training checkpoints are byte-stable across releases too —
+//! `tests/into_kernels.rs` pins it against the seed kernels.
 //! Small inputs stay below fixed work cutoffs and run inline, so tiny
 //! graphs pay no pool overhead.
 //!

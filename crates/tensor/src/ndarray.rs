@@ -20,14 +20,23 @@
 //! (`scatter_add_rows` destinations, `segment_softmax` denominators,
 //! `sum`) deliberately stay serial.
 //!
-//! The inner loops use two microkernels: an element-independent axpy the
-//! compiler auto-vectorises (bitwise equal to the scalar loop) and an
-//! 8-accumulator blocked dot product whose lane blocking is a compile-time
-//! constant — independent of thread count — so it too is deterministic.
-//! The blocked dot changes the summation *tree* relative to the scalar
-//! kernel, so `matmul_nt` only uses it in inference (`no_grad`) mode;
-//! while gradients are recorded it falls back to strict index-order
-//! accumulation, keeping training trajectories bit-for-bit reproducible.
+//! The inner loops use three microkernels:
+//!
+//! * an element-independent axpy the compiler auto-vectorises (bitwise
+//!   equal to the scalar loop), for the forward [`NdArray::matmul`];
+//! * `gemm`, the register-blocked kernel of the gradient products
+//!   ([`NdArray::matmul_tn`] and grad-mode [`NdArray::matmul_nt`]). Each
+//!   output element keeps one accumulator that adds `a·b` in ascending
+//!   reduction index, the serial order these kernels have always used, so
+//!   training trajectories stay bit-for-bit reproducible; it is vectorised
+//!   across a 4×16 tile of outputs, never within one sum;
+//! * an 8-accumulator blocked dot product whose lane blocking is a
+//!   compile-time constant, independent of thread count. It changes the
+//!   summation *tree* relative to the serial order, so `matmul_nt` only
+//!   uses it in inference (`no_grad`) mode.
+//!
+//! The AVX2 forms of `gemm` and the blocked dot are selected at runtime;
+//! their portable forms are the source of truth for the bits.
 
 use hisres_util::json::{FromJson, JsonError, ToJson, Value};
 use hisres_util::pool;
@@ -65,17 +74,91 @@ fn axpy8(o: &mut [f32], a: f32, b: &[f32]) {
     }
 }
 
-/// Dot product accumulated strictly in index order with a single
-/// accumulator — bit-identical to the historical scalar kernel. Used while
-/// gradients are recorded so training trajectories (and therefore
-/// checkpoints) stay bit-for-bit reproducible across releases.
-#[inline]
-fn dot_serial(a: &[f32], b: &[f32]) -> f32 {
-    let mut acc = 0.0f32;
-    for (&x, &y) in a.iter().zip(b) {
-        acc += x * y;
+/// Output rows of one [`gemm`] register tile.
+const GEMM_MR: usize = 4;
+
+/// Output columns of one [`gemm`] register tile: two 8-lane vectors, so a
+/// full tile holds eight independent accumulator chains.
+const GEMM_NR: usize = 16;
+
+/// The left operand of [`gemm`], read in place: element `(r, p)` is
+/// `data[r * rs + p * ps]`. A row-major matrix is `rs = cols, ps = 1`; its
+/// transpose is `rs = 1, ps = cols`, which is how [`NdArray::matmul_tn`]
+/// reads `self` without copying it.
+#[derive(Clone, Copy)]
+struct Lhs<'a> {
+    data: &'a [f32],
+    rs: usize,
+    ps: usize,
+}
+
+/// `out[r][c] = Σₚ a(row0 + r, p) · b[p][c]` over a chunk of output rows,
+/// where `b` is row-major `[depth, m]` and `out` holds whole rows of `m`.
+///
+/// Every output element has one accumulator that starts at +0.0 and adds
+/// `a·b` (a multiply, then an add — never an FMA) for `p = 0, 1, …` in
+/// ascending order: exactly the single-accumulator serial dot and
+/// ascending-row axpy the grad-mode kernels have always computed, so every
+/// result keeps its bits. The speed comes from computing a 4×16 tile of
+/// outputs at once — vectorised *across* outputs, never within one sum —
+/// which turns one latency-bound add chain into eight independent ones.
+/// Dispatches to the AVX2 form when the CPU has it; [`gemm_portable`] is
+/// the source of truth for the bits.
+fn gemm(a: Lhs<'_>, b: &[f32], depth: usize, m: usize, row0: usize, out: &mut [f32]) {
+    if out.is_empty() {
+        return;
     }
-    acc
+    assert!(m > 0 && out.len().is_multiple_of(m), "gemm output is not whole rows of {m}");
+    if depth == 0 {
+        out.fill(0.0); // the empty sum
+        return;
+    }
+    let rows = out.len() / m;
+    assert!(b.len() >= depth * m, "gemm right operand shorter than depth × m");
+    let last = (row0 + rows - 1) * a.rs + (depth - 1) * a.ps;
+    assert!(last < a.data.len(), "gemm left operand out of range");
+    #[cfg(target_arch = "x86_64")]
+    if avx::available() {
+        // SAFETY: AVX2 probed above; every index the kernel forms is below
+        // the bounds asserted above.
+        unsafe { avx::gemm(a, b, depth, m, row0, out) };
+        return;
+    }
+    gemm_portable(a, b, depth, m, row0, out);
+}
+
+/// Portable form of [`gemm`]: the same tiles with one scalar accumulator
+/// per output element.
+fn gemm_portable(a: Lhs<'_>, b: &[f32], depth: usize, m: usize, row0: usize, out: &mut [f32]) {
+    let rows = out.len() / m;
+    for c0 in (0..m).step_by(GEMM_NR) {
+        let w = (m - c0).min(GEMM_NR);
+        for r0 in (0..rows).step_by(GEMM_MR) {
+            let h = (rows - r0).min(GEMM_MR);
+            let mut acc = [[0.0f32; GEMM_NR]; GEMM_MR];
+            for p in 0..depth {
+                let b_row = &b[p * m + c0..p * m + c0 + w];
+                for (r, acc_r) in acc[..h].iter_mut().enumerate() {
+                    let av = a.data[(row0 + r0 + r) * a.rs + p * a.ps];
+                    for (o, &bv) in acc_r.iter_mut().zip(b_row) {
+                        *o += av * bv;
+                    }
+                }
+            }
+            for (r, acc_r) in acc[..h].iter().enumerate() {
+                let o = (r0 + r) * m + c0;
+                out[o..o + w].copy_from_slice(&acc_r[..w]);
+            }
+        }
+    }
+}
+
+thread_local! {
+    /// Per-thread buffer grad-mode [`NdArray::matmul_nt`] packs `otherᵀ`
+    /// into, reused across calls so a warm call allocates nothing. Taken
+    /// out for the call and put back after, so a nested call would only
+    /// allocate, never alias it.
+    static PACKED_T: std::cell::Cell<Vec<f32>> = const { std::cell::Cell::new(Vec::new()) };
 }
 
 /// Hand-written AVX2 forms of the 8-lane kernels, selected at runtime.
@@ -169,14 +252,124 @@ mod avx {
         };
         [reduce(acc0, b0), reduce(acc1, b1), reduce(acc2, b2), reduce(acc3, b3)]
     }
+
+    /// [`super::gemm_portable`] with each tile's accumulators held in AVX
+    /// registers: lane `l` of vector `v` is output column `c0 + 8v + l`,
+    /// and it sees the same `+0.0`, then mul-then-add per `p` ascending,
+    /// as the scalar accumulator it replaces.
+    ///
+    /// # Safety
+    /// Caller must ensure AVX2 is available ([`available`]) and the bounds
+    /// [`super::gemm`] asserts.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn gemm(
+        a: super::Lhs<'_>,
+        b: &[f32],
+        depth: usize,
+        m: usize,
+        row0: usize,
+        out: &mut [f32],
+    ) {
+        use super::{GEMM_MR, GEMM_NR};
+        let rows = out.len() / m;
+        for c0 in (0..m).step_by(GEMM_NR) {
+            let w = (m - c0).min(GEMM_NR);
+            for r0 in (0..rows).step_by(GEMM_MR) {
+                let h = (rows - r0).min(GEMM_MR);
+                // A short tile recomputes its last row in the spare slots
+                // and stores only the first `h`.
+                let a_rows: [*const f32; GEMM_MR] = std::array::from_fn(|r| {
+                    // SAFETY: row0 + r0 + min(r, h-1) is a row the caller
+                    // bounds-checked.
+                    unsafe { a.data.as_ptr().add((row0 + r0 + r.min(h - 1)) * a.rs) }
+                });
+                // SAFETY: rows r0..r0+h and columns c0..c0+w lie inside
+                // `out` and `b` (shapes checked by the caller).
+                unsafe {
+                    let t = Tile { a_rows, ps: a.ps, b: b.as_ptr().add(c0), m, depth, w };
+                    let o = out.as_mut_ptr().add(r0 * m + c0);
+                    match w {
+                        16 => t.run::<2, true>(o, h),
+                        9..=15 => t.run::<2, false>(o, h),
+                        8 => t.run::<1, true>(o, h),
+                        _ => t.run::<1, false>(o, h),
+                    }
+                }
+            }
+        }
+    }
+
+    /// One register tile of [`gemm`]: `GEMM_MR` rows × `w ≤ 16` columns.
+    struct Tile {
+        a_rows: [*const f32; super::GEMM_MR],
+        ps: usize,
+        b: *const f32,
+        m: usize,
+        depth: usize,
+        w: usize,
+    }
+
+    impl Tile {
+        /// Runs the tile with `V` vectors of columns; `FULL` means all
+        /// `8·V` columns are real, else the lanes past `w` are masked off
+        /// (loaded as 0, never stored). Writes `h` rows at `out`, `m` apart.
+        ///
+        /// # Safety
+        /// AVX2 available; `b + p·m + [0, w)` readable for `p < depth`,
+        /// `a_rows[r] + p·ps` readable, `out + r·m + [0, w)` writable for
+        /// `r < h`.
+        #[target_feature(enable = "avx2")]
+        #[inline]
+        unsafe fn run<const V: usize, const FULL: bool>(&self, out: *mut f32, h: usize) {
+            let lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+            let mask: [__m256i; V] = std::array::from_fn(|v| {
+                _mm256_cmpgt_epi32(_mm256_set1_epi32((self.w - 8 * v) as i32), lanes)
+            });
+            let mut acc = [[_mm256_setzero_ps(); V]; super::GEMM_MR];
+            for p in 0..self.depth {
+                // SAFETY: in bounds per the function contract; masked
+                // lanes are neither read nor faulted on.
+                unsafe {
+                    let bp = self.b.add(p * self.m);
+                    let bv: [__m256; V] = std::array::from_fn(|v| {
+                        if FULL {
+                            _mm256_loadu_ps(bp.add(8 * v))
+                        } else {
+                            _mm256_maskload_ps(bp.add(8 * v), mask[v])
+                        }
+                    });
+                    for (acc_r, a_row) in acc.iter_mut().zip(self.a_rows) {
+                        let av = _mm256_set1_ps(*a_row.add(p * self.ps));
+                        for (acc_v, &b_v) in acc_r.iter_mut().zip(&bv) {
+                            *acc_v = _mm256_add_ps(*acc_v, _mm256_mul_ps(av, b_v));
+                        }
+                    }
+                }
+            }
+            for (r, acc_r) in acc[..h].iter().enumerate() {
+                for (v, &acc_v) in acc_r.iter().enumerate() {
+                    // SAFETY: row r < h, columns inside [0, w) or masked.
+                    unsafe {
+                        let o = out.add(r * self.m + 8 * v);
+                        if FULL {
+                            _mm256_storeu_ps(o, acc_v);
+                        } else {
+                            _mm256_maskstore_ps(o, mask[v], acc_v);
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Dot product with 8 independent accumulator lanes combined in a fixed
 /// pairwise order. The lane blocking is a compile-time constant, so the
 /// summation tree — and therefore the result bit pattern — is the same on
-/// every thread count and every call; it does differ from [`dot_serial`],
-/// which is why it is only used in inference (`no_grad`) mode. Dispatches
-/// to the bit-identical AVX2 form of the same tree when the CPU has it.
+/// every thread count and every call; it does differ from the serial
+/// single-accumulator order of [`gemm`], which is why it is only used in
+/// inference (`no_grad`) mode. Dispatches to the bit-identical AVX2 form
+/// of the same tree when the CPU has it.
 #[inline]
 fn dot8(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "dot8 operand lengths");
@@ -627,7 +820,9 @@ impl NdArray {
     /// Matrix product against a transposed right operand:
     /// `self · otherᵀ` (`[n,k] · [m,k]ᵀ → [n,m]`). Both operands are walked
     /// row-wise, which is the cache-optimal layout for scoring a batch of
-    /// query vectors against an embedding table.
+    /// query vectors against an embedding table. While gradients are
+    /// recorded every element is the serial single-accumulator dot; under
+    /// `no_grad` it is the 8-lane tree of [`blocked_dot`].
     pub fn matmul_nt(&self, other: &NdArray) -> NdArray {
         let (n, _) = self.shape;
         let (m, _) = other.shape;
@@ -647,14 +842,21 @@ impl NdArray {
 
     /// `self · otherᵀ` kernel, overwriting `out`.
     ///
-    /// Tiled over the rows of `other` (the `|E|`-row embedding table in the
+    /// While gradients are recorded, `otherᵀ` is packed once per call into
+    /// a reused per-thread buffer and every output row chunk runs [`gemm`],
+    /// whose per-element order is the serial single-accumulator dot, so the
+    /// training trajectory is bit-for-bit stable across releases.
+    ///
+    /// Inference (`no_grad`) takes the 8-lane blocked dot instead, tiled
+    /// over the rows of `other` (the `|E|`-row embedding table in the
     /// decoder): an L1-sized block of table rows is scored against every
     /// query row of the chunk before moving on, so the table streams from
     /// memory **once per call** instead of once per query row. Each output
-    /// element is still one complete dot product of the same two rows —
-    /// tiling only reorders which elements are computed when — so results
-    /// are bit-identical to the untiled kernel in both grad and no-grad
-    /// mode.
+    /// element is still one complete dot of the same two rows, the tree
+    /// [`blocked_dot`] exports.
+    ///
+    /// The mode is captured on the dispatching thread before fan-out, so
+    /// all tasks of one call agree regardless of the partition.
     fn matmul_nt_impl(&self, other: &NdArray, out: &mut NdArray) {
         let (_, k) = self.shape;
         let (m, k2) = other.shape;
@@ -662,41 +864,45 @@ impl NdArray {
         if out.data.is_empty() {
             return;
         }
-        // Inference (`no_grad`) takes the 8-lane blocked dot; while gradients
-        // are recorded we keep the historical serial summation order so the
-        // training trajectory is bit-for-bit stable across releases. The
-        // mode is captured on the dispatching thread before fan-out, so all
-        // tasks of one call agree regardless of the partition.
-        let blocked = !crate::tensor::grad_enabled();
-        let j_tile = (TILE_BYTES / 4 / k.max(1)).clamp(8, m.max(8));
         let min_rows = PAR_FLOPS_PER_TASK.div_ceil(k * m + 1).max(1);
+        if crate::tensor::grad_enabled() {
+            let mut packed = PACKED_T.with(std::cell::Cell::take);
+            packed.clear();
+            packed.resize(k * m, 0.0);
+            for (j, row) in other.data.chunks_exact(k.max(1)).enumerate() {
+                for (kk, &v) in row.iter().enumerate() {
+                    packed[kk * m + j] = v;
+                }
+            }
+            let a = Lhs { data: &self.data, rs: k, ps: 1 };
+            pool::current().par_chunks_mut(&mut out.data, m, min_rows, |row0, chunk| {
+                gemm(a, &packed, k, m, row0, chunk);
+            });
+            PACKED_T.with(|c| c.set(packed));
+            return;
+        }
+        let j_tile = (TILE_BYTES / 4 / k.max(1)).clamp(8, m.max(8));
         pool::current().par_chunks_mut(&mut out.data, m, min_rows, |row0, chunk| {
             for j0 in (0..m).step_by(j_tile) {
                 let j1 = (j0 + j_tile).min(m);
                 for (ri, o_row) in chunk.chunks_exact_mut(m).enumerate() {
                     let a_row = self.row(row0 + ri);
-                    if blocked {
-                        // Register-blocked: four table rows per step, each
-                        // output still its own dot8 tree (bit-identical).
-                        let mut j = j0;
-                        while j + 4 <= j1 {
-                            let d = dot8_x4(
-                                a_row,
-                                other.row(j),
-                                other.row(j + 1),
-                                other.row(j + 2),
-                                other.row(j + 3),
-                            );
-                            o_row[j..j + 4].copy_from_slice(&d);
-                            j += 4;
-                        }
-                        for (o, jj) in o_row[j..j1].iter_mut().zip(j..j1) {
-                            *o = dot8(a_row, other.row(jj));
-                        }
-                    } else {
-                        for (o, j) in o_row[j0..j1].iter_mut().zip(j0..j1) {
-                            *o = dot_serial(a_row, other.row(j));
-                        }
+                    // Register-blocked: four table rows per step, each
+                    // output still its own dot8 tree (bit-identical).
+                    let mut j = j0;
+                    while j + 4 <= j1 {
+                        let d = dot8_x4(
+                            a_row,
+                            other.row(j),
+                            other.row(j + 1),
+                            other.row(j + 2),
+                            other.row(j + 3),
+                        );
+                        o_row[j..j + 4].copy_from_slice(&d);
+                        j += 4;
+                    }
+                    for (o, jj) in o_row[j..j1].iter_mut().zip(j..j1) {
+                        *o = dot8(a_row, other.row(jj));
                     }
                 }
             }
@@ -705,33 +911,23 @@ impl NdArray {
 
     /// Matrix product with a transposed *left* operand:
     /// `selfᵀ · other` (`[n,k]ᵀ · [n,m] → [k,m]`). Used by matmul backward.
+    ///
+    /// The register-blocked `gemm` reads `self` in place through its
+    /// transpose and adds `i = 0..n` in order into every output element:
+    /// the ascending-row axpy of the serial kernel, bit for bit. A zero in
+    /// `self` is multiplied like any other value (skipping it would give
+    /// the same bits on finite input), so NaN and Inf in `other` propagate.
+    /// Partitioned over output rows (columns of `self`), so results are
+    /// bit-identical for every thread count.
     pub fn matmul_tn(&self, other: &NdArray) -> NdArray {
         let (n, k) = self.shape;
         let (n2, m) = other.shape;
         assert_eq!(n, n2, "matmul_tn outer dims {n} vs {n2}");
         let mut out = NdArray::zeros(k, m);
-        if out.data.is_empty() {
-            return out;
-        }
-        // Same finiteness gate as `matmul`: zero gradients are common
-        // (sliced columns), but a zero must not silently absorb NaN/Inf.
-        let skip_zeros = !other.has_non_finite();
-        // Partitioned over *output* rows (columns of self); every task
-        // walks i = 0..n in order, so per-destination accumulation order
-        // matches the serial kernel exactly.
+        let a = Lhs { data: &self.data, rs: 1, ps: k };
         let min_rows = PAR_FLOPS_PER_TASK.div_ceil(n * m + 1).max(1);
         pool::current().par_chunks_mut(&mut out.data, m, min_rows, |k0, chunk| {
-            for i in 0..n {
-                let a_row = self.row(i);
-                let b_row = other.row(i);
-                for (ri, o_row) in chunk.chunks_exact_mut(m).enumerate() {
-                    let a = a_row[k0 + ri];
-                    if skip_zeros && a == 0.0 { // lint:allow(float-eq): bitwise zero-skip keeps the blocked dot identical to the serial kernel
-                        continue;
-                    }
-                    axpy8(o_row, a, b_row);
-                }
-            }
+            gemm(a, &other.data, n, m, k0, chunk);
         });
         out
     }
@@ -872,6 +1068,56 @@ mod tests {
             for k in 0..4 {
                 assert_eq!(fused[k].to_bits(), dot8_scalar(&a, &bs[k]).to_bits(), "len {len}");
                 assert_eq!(fused[k].to_bits(), fused_scalar[k].to_bits(), "len {len}");
+            }
+        }
+    }
+
+    /// The dispatching `gemm` (AVX2 where the CPU has it) must be
+    /// `to_bits`-identical to `gemm_portable` on every tile tail: rows mod 4
+    /// of 0–3, column strips of 16, 8, 1–7 and 9–15, depth 0, 1 and odd,
+    /// both left-operand layouts, and NaN/Inf in either operand (NaNs
+    /// compare as NaN: which of two NaN payloads an add returns is not part
+    /// of the contract). On a host without AVX2 both sides are portable.
+    #[test]
+    fn gemm_matches_portable_bits() {
+        let mut seed = 0x2545f4914f6cdd1du64;
+        let mut next = || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed >> 40) as f32 / 8388608.0 - 1.0
+        };
+        let same = |x: f32, y: f32| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan());
+        for rows in [1usize, 2, 3, 4, 5, 7, 8] {
+            for m in [1usize, 5, 8, 11, 16, 17, 24, 29, 32, 40] {
+                for depth in [0usize, 1, 2, 7, 16, 33] {
+                    for (transposed, poison) in [(false, 0), (true, 0), (false, 1), (true, 2)] {
+                        let mut a: Vec<f32> = (0..(rows + 1) * depth).map(|_| next()).collect();
+                        let mut b: Vec<f32> = (0..depth * m).map(|_| next()).collect();
+                        // Zeros meet the NaN/Inf: 0 × Inf must stay NaN.
+                        a.iter_mut().step_by(5).for_each(|v| *v = 0.0);
+                        let (na, nb) = (a.len(), b.len());
+                        match poison {
+                            1 if na > 0 => a[na / 2] = f32::NAN,
+                            2 if nb > 0 => {
+                                b[0] = f32::INFINITY;
+                                b[nb - 1] = f32::NEG_INFINITY;
+                            }
+                            _ => {}
+                        }
+                        let lhs = if transposed {
+                            Lhs { data: &a, rs: 1, ps: rows + 1 }
+                        } else {
+                            Lhs { data: &a, rs: depth, ps: 1 }
+                        };
+                        let mut want = vec![f32::NAN; rows * m];
+                        let mut got = vec![-7.0f32; rows * m];
+                        gemm_portable(lhs, &b, depth, m, 1, &mut want);
+                        gemm(lhs, &b, depth, m, 1, &mut got);
+                        let ok = want.iter().zip(&got).all(|(&x, &y)| same(x, y));
+                        assert!(ok, "rows {rows} m {m} depth {depth} t {transposed} p {poison}");
+                    }
+                }
             }
         }
     }

@@ -7,14 +7,9 @@
 //! predicate deciding which errors are worth retrying, and anything else
 //! (a malformed file, a wrong checkpoint kind) fails immediately.
 //!
-//! Delays are deterministic (`base * 2^attempt`, capped) — no implicit
-//! jitter, so tests can assert exact schedules. Callers that *want*
-//! jitter (N reconnecting workers must not thundering-herd a coordinator)
-//! opt in with a [`JitterPolicy`]: a multiplicative spread derived from
-//! the workspace splitmix64 PRNG, fully determined by `(seed, attempt)`,
-//! so even the jittered schedules stay assertable.
+//! Delays are deterministic (`base * 2^attempt`, capped) — no jitter, so
+//! tests can assert exact schedules.
 
-use crate::rng::splitmix64;
 use std::time::Duration;
 
 /// Retry schedule: how many attempts, and how the delay between them grows.
@@ -50,59 +45,6 @@ impl BackoffPolicy {
         let factor = 1u32.checked_shl(attempt.min(31) as u32).unwrap_or(u32::MAX);
         self.base.checked_mul(factor).unwrap_or(self.cap).min(self.cap)
     }
-
-    /// [`BackoffPolicy::delay_after`] scaled by `jitter`'s deterministic
-    /// per-attempt factor. The jitter multiplies the *capped* delay, so
-    /// the result stays within `±spread` of the exact schedule.
-    pub fn delay_jittered(&self, attempt: usize, jitter: &JitterPolicy) -> Duration {
-        let base = self.delay_after(attempt);
-        let permille = jitter.factor_permille(attempt);
-        let nanos = (base.as_nanos().min(u128::from(u64::MAX)) as u64).saturating_mul(permille)
-            / 1000;
-        Duration::from_nanos(nanos)
-    }
-}
-
-/// Deterministic multiplicative jitter for a backoff schedule.
-///
-/// Each attempt's delay is scaled by a factor in
-/// `[1 - spread, 1 + spread]` (expressed in permille so the policy stays
-/// `Eq`), drawn from splitmix64 on `(seed, attempt)`. Two workers seeded
-/// differently (e.g. by worker id) therefore spread their reconnects
-/// apart, while the same `(seed, attempt)` pair always yields the same
-/// delay — tests can still pin exact schedules.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct JitterPolicy {
-    /// Stream selector; derive it from a stable identity (worker id).
-    pub seed: u64,
-    /// Half-width of the jitter window in permille of the base delay
-    /// (`250` means `±25%`). Values above `1000` are clamped to `1000`
-    /// so a delay can never go negative.
-    pub spread_permille: u32,
-}
-
-impl JitterPolicy {
-    /// A `±25%` jitter window on the given seed.
-    pub fn new(seed: u64) -> Self {
-        JitterPolicy { seed, spread_permille: 250 }
-    }
-
-    /// The multiplicative factor for `attempt`, in permille
-    /// (`1000` = exactly the base schedule). Deterministic in
-    /// `(seed, attempt)`.
-    pub fn factor_permille(&self, attempt: usize) -> u64 {
-        let spread = u64::from(self.spread_permille.min(1000));
-        if spread == 0 {
-            return 1000;
-        }
-        // One splitmix64 step keyed by seed and attempt: cheap, stateless,
-        // and independent draws for nearby attempts.
-        let mut s = self
-            .seed
-            .wrapping_add((attempt as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        let r = splitmix64(&mut s);
-        1000 - spread + (r % (2 * spread + 1))
-    }
 }
 
 /// Runs `op` until it succeeds, the error is not `retryable`, or the
@@ -110,17 +52,6 @@ impl JitterPolicy {
 /// cases. `op` receives the 0-based attempt index.
 pub fn with_backoff<T, E>(
     policy: &BackoffPolicy,
-    retryable: impl FnMut(&E) -> bool,
-    op: impl FnMut(usize) -> Result<T, E>,
-) -> Result<T, E> {
-    with_backoff_jittered(policy, None, retryable, op)
-}
-
-/// [`with_backoff`] with optional deterministic jitter on every delay.
-/// `None` reproduces the exact unjittered schedule.
-pub fn with_backoff_jittered<T, E>(
-    policy: &BackoffPolicy,
-    jitter: Option<&JitterPolicy>,
     mut retryable: impl FnMut(&E) -> bool,
     mut op: impl FnMut(usize) -> Result<T, E>,
 ) -> Result<T, E> {
@@ -133,11 +64,7 @@ pub fn with_backoff_jittered<T, E>(
                 if attempt + 1 >= attempts || !retryable(&e) {
                     return Err(e);
                 }
-                let delay = match jitter {
-                    Some(j) => policy.delay_jittered(attempt, j),
-                    None => policy.delay_after(attempt),
-                };
-                std::thread::sleep(delay);
+                std::thread::sleep(policy.delay_after(attempt));
                 attempt += 1;
             }
         }
@@ -203,62 +130,5 @@ mod tests {
         let p = BackoffPolicy { attempts: 0, ..fast() };
         let out = with_backoff(&p, |_: &&str| true, |_| Ok(7));
         assert_eq!(out, Ok(7));
-    }
-
-    #[test]
-    fn jitter_schedule_is_deterministic_per_seed() {
-        let j = JitterPolicy::new(42);
-        let a: Vec<u64> = (0..8).map(|i| j.factor_permille(i)).collect();
-        let b: Vec<u64> = (0..8).map(|i| j.factor_permille(i)).collect();
-        assert_eq!(a, b, "same (seed, attempt) must give the same factor");
-        let p = BackoffPolicy { attempts: 8, base: Duration::from_millis(10), cap: Duration::from_secs(1) };
-        for i in 0..8 {
-            assert_eq!(p.delay_jittered(i, &j), p.delay_jittered(i, &j));
-        }
-    }
-
-    #[test]
-    fn jitter_factors_stay_within_spread() {
-        let j = JitterPolicy { seed: 7, spread_permille: 250 };
-        for i in 0..64 {
-            let f = j.factor_permille(i);
-            assert!((750..=1250).contains(&f), "factor {f} outside ±25% at attempt {i}");
-        }
-        // clamped spread can never drive a delay negative
-        let wild = JitterPolicy { seed: 7, spread_permille: 5000 };
-        for i in 0..64 {
-            assert!(wild.factor_permille(i) <= 2000);
-        }
-    }
-
-    #[test]
-    fn different_seeds_spread_apart() {
-        // the thundering-herd property: two workers with different seeds
-        // must not share their whole reconnect schedule
-        let a = JitterPolicy::new(0);
-        let b = JitterPolicy::new(1);
-        let differs = (0..16).any(|i| a.factor_permille(i) != b.factor_permille(i));
-        assert!(differs, "seeds 0 and 1 produced identical 16-step schedules");
-    }
-
-    #[test]
-    fn zero_spread_reproduces_exact_schedule() {
-        let j = JitterPolicy { seed: 99, spread_permille: 0 };
-        let p = BackoffPolicy { attempts: 6, base: Duration::from_millis(10), cap: Duration::from_millis(35) };
-        for i in 0..6 {
-            assert_eq!(p.delay_jittered(i, &j), p.delay_after(i));
-        }
-    }
-
-    #[test]
-    fn jittered_backoff_retries_like_unjittered() {
-        let j = JitterPolicy { seed: 3, spread_permille: 250 };
-        let mut calls = 0;
-        let out = with_backoff_jittered(&fast(), Some(&j), |_: &&str| true, |i| {
-            calls += 1;
-            if i < 2 { Err("transient") } else { Ok(i) }
-        });
-        assert_eq!(out, Ok(2));
-        assert_eq!(calls, 3);
     }
 }

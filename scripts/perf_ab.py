@@ -2,7 +2,9 @@
 """Same-host A/B performance gate: the work tree against its base commit.
 
 The base is HEAD when the work tree differs from it (a change not yet
-committed), else HEAD^ (the last commit is the change). The base is
+committed), else HEAD^ (the last commit is the change); a perfbench
+lockfile rewritten by an earlier build does not count as a difference,
+and the paths that made it pick HEAD are printed. The base is
 extracted with `git archive` into a temporary directory; perfbench is
 built in both trees, and PAIRS interleaved pairs of every BENCHMARK.json
 workload run for SECONDS each, alternating which side runs first. Both
@@ -45,8 +47,21 @@ def git(*args):
                           capture_output=True, text=True).stdout.strip()
 
 
+# Rewritten by any perfbench build that is not --locked (it still lists a
+# deleted crate), so it says nothing about whether the change is committed.
+BUILD_REWRITTEN = {"perfbench/Cargo.lock"}
+
+
 def base_commit():
-    dirty = git("status", "--porcelain", "--untracked-files=normal")
+    """HEAD if the work tree has changes of its own, else HEAD^."""
+    status = subprocess.run(["git", "status", "--porcelain", "--untracked-files=normal"],
+                            cwd=ROOT, check=True, capture_output=True, text=True).stdout
+    # Porcelain lines are "XY path" or "XY old -> new"; the last path counts.
+    dirty = [line[3:].split(" -> ")[-1] for line in status.splitlines()]
+    dirty = [p for p in dirty if p not in BUILD_REWRITTEN]
+    if dirty:
+        print("perf A/B: uncommitted changes, so the base is HEAD: " + ", ".join(dirty),
+              flush=True)
     return git("rev-parse", "--short", "HEAD" if dirty else "HEAD^")
 
 

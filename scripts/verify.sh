@@ -269,10 +269,11 @@ echo "concurrent serve smoke test: OK (2 simultaneous clients, no cross-wiring, 
 # ---- thread-count determinism smoke test ------------------------------------
 # The data-parallel kernel layer must never change results: training the
 # same model at 1 and 4 worker threads must produce byte-identical
-# checkpoints.
-HISRES_THREADS=1 "$bin" train --data "$smoke/data" --dim 8 --epochs 2 \
+# checkpoints. --dim 20 makes the gradient GEMM run a full 16-wide
+# register tile and a 4-wide tail.
+HISRES_THREADS=1 "$bin" train --data "$smoke/data" --dim 20 --epochs 2 \
     --patience 0 --quiet --out "$smoke/t1.ckpt" 2>/dev/null
-HISRES_THREADS=4 "$bin" train --data "$smoke/data" --dim 8 --epochs 2 \
+HISRES_THREADS=4 "$bin" train --data "$smoke/data" --dim 20 --epochs 2 \
     --patience 0 --quiet --out "$smoke/t4.ckpt" 2>/dev/null
 if ! cmp -s "$smoke/t1.ckpt" "$smoke/t4.ckpt"; then
     echo "ERROR: training at HISRES_THREADS=1 vs =4 produced different" >&2
