@@ -22,14 +22,16 @@
 //!
 //! The inner loops use three microkernels:
 //!
+//! * `gemm`, the register-blocked kernel of every product computed while
+//!   gradients are recorded ([`NdArray::matmul_tn`], and grad-mode
+//!   [`NdArray::matmul`] and [`NdArray::matmul_nt`]). Each output element
+//!   keeps one accumulator that adds `a·b` in ascending reduction index,
+//!   the serial order these kernels have always used, so training
+//!   trajectories stay bit-for-bit reproducible; it is vectorised across a
+//!   4×16 tile of outputs, never within one sum;
 //! * an element-independent axpy the compiler auto-vectorises (bitwise
-//!   equal to the scalar loop), for the forward [`NdArray::matmul`];
-//! * `gemm`, the register-blocked kernel of the gradient products
-//!   ([`NdArray::matmul_tn`] and grad-mode [`NdArray::matmul_nt`]). Each
-//!   output element keeps one accumulator that adds `a·b` in ascending
-//!   reduction index, the serial order these kernels have always used, so
-//!   training trajectories stay bit-for-bit reproducible; it is vectorised
-//!   across a 4×16 tile of outputs, never within one sum;
+//!   equal to the scalar loop and to `gemm`), for the inference
+//!   (`no_grad`) forward [`NdArray::matmul`] only;
 //! * an 8-accumulator blocked dot product whose lane blocking is a
 //!   compile-time constant, independent of thread count. It changes the
 //!   summation *tree* relative to the serial order, so `matmul_nt` only
@@ -753,10 +755,10 @@ impl NdArray {
         self.data.iter().map(|v| v * v).sum()
     }
 
-    /// Matrix product `self · other` (`[n,k] · [k,m] → [n,m]`), cache-blocked
-    /// `ikj` ordering so the inner loop is a contiguous unrolled axpy;
-    /// row-partitioned across the worker pool for large shapes and kk-tiled
-    /// inside each task so a block of `other` stays L1-resident.
+    /// Matrix product `self · other` (`[n,k] · [k,m] → [n,m]`),
+    /// row-partitioned across the worker pool for large shapes. While
+    /// gradients are recorded it runs [`gemm`]; under `no_grad` a
+    /// cache-blocked `ikj` axpy. Both give the same bits.
     pub fn matmul(&self, other: &NdArray) -> NdArray {
         let (n, _) = self.shape;
         let (_, m) = other.shape;
@@ -774,19 +776,33 @@ impl NdArray {
         self.matmul_impl(other, out);
     }
 
-    /// Accumulating matmul kernel over a pre-zeroed output.
+    /// Matmul kernel over a pre-zeroed output.
     ///
-    /// Tiled `(row-tile × kk-tile)`: within each pool chunk, [`MM_ROW_TILE`]
-    /// output rows advance through the kk range one L1-sized tile of `other`
-    /// at a time. For every output row the kk order is still strictly
-    /// ascending (tiles ascend, indices within a tile ascend), so the
-    /// per-element accumulation order — and the result bit pattern — is
-    /// identical to the untiled serial kernel in both grad and no-grad mode.
+    /// While gradients are recorded every output row chunk runs [`gemm`]
+    /// on `other` in place (it is already row-major `[k, m]`). That is the
+    /// serial ascending-`kk` order of the axpy below: the axpy's zero skip
+    /// only drops `±0` products from an accumulator that starts at `+0.0`
+    /// and so is never `−0.0`, which leaves it unchanged.
+    ///
+    /// Inference (`no_grad`) keeps the axpy, tiled `(row-tile × kk-tile)`:
+    /// within each pool chunk, [`MM_ROW_TILE`] output rows advance through
+    /// the kk range one L1-sized tile of `other` at a time. For every
+    /// output row the kk order is still strictly ascending (tiles ascend,
+    /// indices within a tile ascend), so the per-element accumulation
+    /// order — and the result bit pattern — is the same in both modes.
     fn matmul_impl(&self, other: &NdArray, out: &mut NdArray) {
         let (_, k) = self.shape;
         let (k2, m) = other.shape;
         assert_eq!(k, k2, "matmul inner dims {k} vs {k2}");
         if out.data.is_empty() {
+            return;
+        }
+        let min_rows = PAR_FLOPS_PER_TASK.div_ceil(k * m + 1).max(1);
+        if crate::tensor::grad_enabled() {
+            let a = Lhs { data: &self.data, rs: k, ps: 1 };
+            pool::current().par_chunks_mut(&mut out.data, m, min_rows, |row0, chunk| {
+                gemm(a, &other.data, k, m, row0, chunk);
+            });
             return;
         }
         // Skipping zero left-operand entries is a big win for the one-hot
@@ -795,7 +811,6 @@ impl NdArray {
         // when the right operand is known finite.
         let skip_zeros = !other.has_non_finite();
         let kk_tile = (TILE_BYTES / 4 / m.max(1)).clamp(1, k.max(1));
-        let min_rows = PAR_FLOPS_PER_TASK.div_ceil(k * m + 1).max(1);
         pool::current().par_chunks_mut(&mut out.data, m, min_rows, |row0, chunk| {
             let rows = chunk.len() / m;
             for r0 in (0..rows).step_by(MM_ROW_TILE) {

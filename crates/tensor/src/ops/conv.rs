@@ -8,6 +8,7 @@
 
 use crate::ndarray::NdArray;
 use crate::tensor::Tensor;
+use std::cell::Cell;
 
 impl NdArray {
     /// Same-padded 1-D convolution into a caller-owned `[b, c_out * l]`
@@ -79,38 +80,126 @@ impl Tensor {
         drop((x, w));
         let (xs, ws) = (self.clone(), weight.clone());
         Tensor::from_op(out, vec![self.clone(), weight.clone()], move |g| {
-            let x = xs.value();
-            let w = ws.value();
-            let pad = k / 2;
-            let mut gx = NdArray::zeros(b, c_in * l);
-            let mut gw = NdArray::zeros(c_out, c_in * k);
-            for bi in 0..b {
-                let xrow = x.row(bi);
-                let grow = g.row(bi);
-                let gxrow = gx.row_mut(bi);
-                for co in 0..c_out {
-                    let wrow = w.row(co);
-                    let gwrow = gw.row_mut(co);
-                    for pos in 0..l {
-                        let gv = grow[co * l + pos];
-                        if gv == 0.0 { // lint:allow(float-eq): exactly-zero upstream grad contributes nothing; skip is bit-safe
-                            continue;
-                        }
-                        for ci in 0..c_in {
-                            for kk in 0..k {
-                                let ip = pos + kk;
-                                if ip >= pad && ip - pad < l {
-                                    gxrow[ci * l + ip - pad] += gv * wrow[ci * k + kk];
-                                    gwrow[ci * k + kk] += gv * xrow[ci * l + ip - pad];
-                                }
-                            }
-                        }
-                    }
-                }
-            }
+            let (gx, gw) = conv1d_same_backward(&xs.value(), &ws.value(), g, c_in, k);
             vec![Some(gx), Some(gw)]
         })
     }
+}
+
+thread_local! {
+    /// Per-thread scratch of [`conv1d_same_backward`]: one batch row's
+    /// upstream gradient transposed to `[l, c_pad]`, then the kernel
+    /// gradient transposed to `[c_in * k, c_pad]` (`c_pad` is `c_out`
+    /// rounded up to [`CO_LANES`]). Taken out for the call and put back
+    /// after, so a warm call allocates only what it returns.
+    static CONV_SCRATCH: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
+}
+
+/// Output channels whose kernel-gradient accumulators
+/// [`conv1d_same_backward`] holds in registers at once.
+const CO_LANES: usize = 8;
+
+/// `g · v`, or `+0.0` where the upstream gradient `g` is exactly zero.
+/// Adding that `+0.0` to an accumulator that started at `+0.0` (and so is
+/// never `−0.0`) leaves it unchanged, which gives the bits of skipping the
+/// term; a `0 × Inf` or `0 × NaN` never reaches the sum. A select rather
+/// than a branch, so the loops around it vectorise.
+#[inline]
+fn nz_mul(g: f32, v: f32) -> f32 {
+    if g == 0.0 { 0.0 } else { g * v } // lint:allow(float-eq): an exactly-zero upstream gradient contributes nothing; the select keeps the bits of skipping it
+}
+
+/// For kernel tap `kk` of a same-padded width-`k` kernel over length `l`:
+/// the first input position, the first output position and the number of
+/// output positions `pos` whose input `pos + kk − pad` lies in `[0, l)`.
+fn tap_range(kk: usize, k: usize, l: usize) -> (usize, usize, usize) {
+    let pad = k / 2;
+    let (q0, p0) = if kk >= pad { (kk - pad, 0) } else { (0, pad - kk) };
+    (q0, p0, l.saturating_sub(q0 + p0))
+}
+
+/// Gradients of [`Tensor::conv1d_same`] with respect to its input `x`
+/// (`[b, c_in * l]`) and kernel bank `w` (`[c_out, c_in * k]`) for the
+/// upstream gradient `g` (`[b, c_out * l]`).
+///
+/// Each output keeps the serial order of the scalar loop it replaces
+/// (batch row, then output channel, then output position, ascending);
+/// only the loops *across* outputs are reordered so they vectorise:
+/// * `gx` input position `q` sums `g[co][pos] · w[co][ci][kk]` over `co`
+///   ascending, then `pos = q + pad − kk` ascending — so for each
+///   `(co, ci)` the taps run with `kk` *descending*, each an axpy over
+///   every `q` it reaches;
+/// * `gw[co][ci][kk]` sums `g[co][pos] · x[ci][pos + kk − pad]` over
+///   `(bi, pos)` ascending, vectorised across [`CO_LANES`] output channels
+///   in a transposed accumulator held in registers along each row.
+fn conv1d_same_backward(
+    x: &NdArray,
+    w: &NdArray,
+    g: &NdArray,
+    c_in: usize,
+    k: usize,
+) -> (NdArray, NdArray) {
+    let (b, ctl) = x.shape();
+    let l = ctl / c_in;
+    let (c_out, _) = w.shape();
+    let mut gx = NdArray::zeros(b, c_in * l);
+    let mut gw = NdArray::zeros(c_out, c_in * k);
+    if l == 0 || c_out == 0 {
+        return (gx, gw);
+    }
+    let c_pad = c_out.next_multiple_of(CO_LANES);
+    let mut scratch = CONV_SCRATCH.with(Cell::take);
+    scratch.clear();
+    scratch.resize((l + c_in * k) * c_pad, 0.0);
+    let (g_t, acc) = scratch.split_at_mut(l * c_pad);
+    for bi in 0..b {
+        let xrow = x.row(bi);
+        let grow = g.row(bi);
+        let gxrow = gx.row_mut(bi);
+        for (co, gc) in grow.chunks_exact(l).enumerate() {
+            for (gxc, wc) in gxrow.chunks_exact_mut(l).zip(w.row(co).chunks_exact(k)) {
+                for (kk, &wv) in wc.iter().enumerate().rev() {
+                    let (q0, p0, n) = tap_range(kk, k, l);
+                    if n == 0 {
+                        continue;
+                    }
+                    for (o, &gv) in gxc[q0..][..n].iter_mut().zip(&gc[p0..][..n]) {
+                        *o += nz_mul(gv, wv);
+                    }
+                }
+            }
+            for (pos, &gv) in gc.iter().enumerate() {
+                g_t[pos * c_pad + co] = gv; // padding lanes stay +0.0
+            }
+        }
+        for (ci, xc) in xrow.chunks_exact(l).enumerate() {
+            for kk in 0..k {
+                let (q0, p0, n) = tap_range(kk, k, l);
+                if n == 0 {
+                    continue;
+                }
+                let a = &mut acc[(ci * k + kk) * c_pad..][..c_pad];
+                for (c0, a) in a.chunks_exact_mut(CO_LANES).enumerate() {
+                    let mut r = [0.0f32; CO_LANES];
+                    r.copy_from_slice(a);
+                    for (pos, &xv) in (p0..).zip(&xc[q0..][..n]) {
+                        let gp = &g_t[pos * c_pad + c0 * CO_LANES..][..CO_LANES];
+                        for (o, &gv) in r.iter_mut().zip(gp) {
+                            *o += nz_mul(gv, xv);
+                        }
+                    }
+                    a.copy_from_slice(&r);
+                }
+            }
+        }
+    }
+    for (j, a) in acc.chunks_exact(c_pad).enumerate() {
+        for (co, &v) in a[..c_out].iter().enumerate() {
+            gw.set(co, j, v);
+        }
+    }
+    CONV_SCRATCH.with(|c| c.set(scratch));
+    (gx, gw)
 }
 
 #[cfg(test)]

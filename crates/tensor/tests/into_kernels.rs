@@ -10,9 +10,10 @@
 //! `matmul_tn` accumulated each output row as an ascending-`i` axpy (with
 //! the same zero skip). Shapes are drawn ragged and odd so tile boundaries
 //! (8-row tiles, 32 KiB kk/j tiles, the 4×16 register tiles of the
-//! gradient GEMM) land mid-matrix in both directions.
+//! gradient GEMM) land mid-matrix in both directions. The conv1d backward
+//! is checked the same way against the seed's scalar loop.
 
-use hisres_tensor::{blocked_dot, no_grad, NdArray, Scratch};
+use hisres_tensor::{blocked_dot, no_grad, NdArray, Scratch, Tensor};
 use hisres_util::check::vec;
 use hisres_util::pool::with_threads;
 use hisres_util::{prop_assert, props};
@@ -138,6 +139,67 @@ fn seed_matmul_nt(a: &NdArray, b: &NdArray, blocked: bool) -> NdArray {
     out
 }
 
+/// Reshapes a row-major `[rows, cols]` left operand by `kind`: 1 makes
+/// every row one-hot (a single 1.0, the message-passing pattern), 2 turns
+/// every third entry into −0.0; any other kind leaves it as drawn.
+fn shape_lhs(buf: &mut [f32], cols: usize, kind: usize) {
+    match kind {
+        1 => {
+            for (r, row) in buf.chunks_exact_mut(cols.max(1)).enumerate() {
+                row.fill(0.0);
+                row[(r * 7) % cols.max(1)] = 1.0;
+            }
+        }
+        2 => buf.iter_mut().step_by(3).for_each(|v| *v = -0.0),
+        _ => {}
+    }
+}
+
+/// The seed conv1d backward: the scalar loop over batch row, output
+/// channel, output position, input channel and tap, skipping an exactly
+/// zero upstream gradient. Returns `(gx, gw)` for input `x`
+/// (`[b, c_in * l]`), kernel bank `w` (`[c_out, c_in * k]`) and upstream
+/// gradient `g` (`[b, c_out * l]`).
+fn seed_conv1d_backward(
+    x: &NdArray,
+    w: &NdArray,
+    g: &NdArray,
+    c_in: usize,
+    k: usize,
+) -> (NdArray, NdArray) {
+    let (b, ctl) = x.shape();
+    let l = ctl / c_in;
+    let (c_out, _) = w.shape();
+    let pad = k / 2;
+    let mut gx = NdArray::zeros(b, c_in * l);
+    let mut gw = NdArray::zeros(c_out, c_in * k);
+    for bi in 0..b {
+        let xrow = x.row(bi);
+        let grow = g.row(bi);
+        let gxrow = gx.row_mut(bi);
+        for co in 0..c_out {
+            let wrow = w.row(co);
+            let gwrow = gw.row_mut(co);
+            for pos in 0..l {
+                let gv = grow[co * l + pos];
+                if gv == 0.0 {
+                    continue;
+                }
+                for ci in 0..c_in {
+                    for kk in 0..k {
+                        let ip = pos + kk;
+                        if ip >= pad && ip - pad < l {
+                            gxrow[ci * l + ip - pad] += gv * wrow[ci * k + kk];
+                            gwrow[ci * k + kk] += gv * xrow[ci * l + ip - pad];
+                        }
+                    }
+                }
+            }
+        }
+    }
+    (gx, gw)
+}
+
 props! {
     cases = 24;
 
@@ -211,6 +273,78 @@ props! {
         for t in [1usize, 2, 4] {
             prop_assert!(bits_eq_nan(&want_tn, &with_threads(t, || a.matmul_tn(&b))));
             prop_assert!(bits_eq_nan(&want_nt, &with_threads(t, || a_nt.matmul_nt(&b_nt))));
+        }
+    }
+
+    // Forward `matmul` against the seed axpy in both modes (grad mode runs
+    // the register-blocked GEMM, `no_grad` the tiled axpy), allocating and
+    // through a dirty `_into` buffer, on every tile tail. The left operand
+    // carries one-hot rows, exact zeros and −0.0 (the seed's zero-skip
+    // path), and either operand may carry a NaN or ±Inf.
+    fn matmul_matches_seed_in_both_grad_modes_on_every_tile_tail(
+        shape in (0usize..=3, 0usize..=3, 0usize..=3, 0usize..=15, 0usize..=20),
+        poisons in (0usize..=3, 0usize..=3, 0usize..10_000, 0usize..=2),
+        a_buf in vec(-2.0f32..2.0, 15 * 41),
+        b_buf in vec(-2.0f32..2.0, 63 * 41),
+    ) {
+        let (rows, cols, depth) = tile_tail_shape(shape);
+        let (pa, pb, at, lhs_kind) = poisons;
+        let mut av = a_buf[..rows * depth].to_vec();
+        let mut bv = b_buf[..depth * cols].to_vec();
+        shape_lhs(&mut av, depth, lhs_kind);
+        poison(&mut av, pa, at);
+        poison(&mut bv, pb, at / 3);
+        let a = NdArray::from_vec(av, &[rows, depth]);
+        let b = NdArray::from_vec(bv, &[depth, cols]);
+        let want = seed_matmul(&a, &b);
+        for t in [1usize, 2, 4] {
+            for grad in [true, false] {
+                let run = |f: &dyn Fn() -> NdArray| {
+                    with_threads(t, || if grad { f() } else { no_grad(f) })
+                };
+                prop_assert!(bits_eq_nan(&want, &run(&|| a.matmul(&b))));
+                let into = run(&|| {
+                    let mut out = NdArray::full(rows, cols, f32::NAN);
+                    a.matmul_into(&b, &mut out);
+                    out
+                });
+                prop_assert!(bits_eq_nan(&want, &into));
+            }
+        }
+    }
+
+    // The vectorised conv1d backward against the seed's scalar loop, for
+    // every input channel count 1–3 and kernel width 1/3/5 per case.
+    // Upstream gradients carry exact ±0 (the seed skips them, so a NaN or
+    // ±Inf in `x` or `w` there must not reach the sum); `x` and `w` carry
+    // NaN/±Inf by `poisons`.
+    fn conv1d_backward_matches_seed(
+        dims in (1usize..=40, 1usize..=9, 1usize..=9),
+        poisons in (0usize..=3, 0usize..=3, 0usize..10_000),
+        x_buf in vec(-2.0f32..2.0, 9 * 3 * 40),
+        w_buf in vec(-2.0f32..2.0, 9 * 3 * 5),
+        g_buf in vec(-2.0f32..2.0, 9 * 9 * 40),
+    ) {
+        let (l, b, c_out) = dims;
+        let (px, pw, at) = poisons;
+        for c_in in 1..=3 {
+            for k in [1usize, 3, 5] {
+                let mut xv = x_buf[..b * c_in * l].to_vec();
+                let mut wv = w_buf[..c_out * c_in * k].to_vec();
+                let mut gv = g_buf[..b * c_out * l].to_vec();
+                poison(&mut xv, px, at);
+                poison(&mut wv, pw, at / 3);
+                gv.iter_mut().step_by(3).for_each(|v| *v = 0.0);
+                gv.iter_mut().skip(1).step_by(7).for_each(|v| *v = -0.0);
+                let x = NdArray::from_vec(xv, &[b, c_in * l]);
+                let w = NdArray::from_vec(wv, &[c_out, c_in * k]);
+                let g = NdArray::from_vec(gv, &[b, c_out * l]);
+                let (want_gx, want_gw) = seed_conv1d_backward(&x, &w, &g, c_in, k);
+                let (xt, wt) = (Tensor::param(x), Tensor::param(w));
+                xt.conv1d_same(&wt, c_in, k).backward_with(g);
+                prop_assert!(bits_eq_nan(&want_gx, &xt.grad().unwrap()));
+                prop_assert!(bits_eq_nan(&want_gw, &wt.grad().unwrap()));
+            }
         }
     }
 

@@ -84,6 +84,16 @@ def build(tree):
     return str(target / "release" / "perfbench")
 
 
+def make_checkpoint(side, binary):
+    """Trains binary's serving checkpoint before any timed run.
+
+    Otherwise the first serving run of a build trains it in-process, and
+    that run's peak_rss_mb includes the training, not just the serving.
+    """
+    subprocess.run([binary, "--make-checkpoint"], check=True, capture_output=True)
+    print(f"perf A/B: {side} serving checkpoint trained (untimed)", flush=True)
+
+
 def worse_by(metric, base, work):
     """How much worse work is than base, as a share of base."""
     delta = work - base if metric["better"] == "lower" else base - work
@@ -111,6 +121,8 @@ def main():
         base_tree = Path(tmp)
         extract(base, base_tree)
         sides = {"base": build(base_tree), "work": build(ROOT)}
+        for side, binary in sides.items():
+            make_checkpoint(side, binary)
         print(f"perf A/B: work tree vs {base}, {PAIRS} pairs x {SECONDS} s per workload",
               flush=True)
         runs = {(side, w): [] for side in sides for w in workloads}

@@ -280,7 +280,18 @@ if ! cmp -s "$smoke/t1.ckpt" "$smoke/t4.ckpt"; then
     echo "checkpoints — the parallel kernels are not deterministic." >&2
     exit 1
 fi
-echo "thread determinism smoke test: OK (1-thread == 4-thread checkpoint)"
+# The same at a learning rate that diverges at once: the rollback guard
+# fires over and over, so NaN and ±Inf run through every grad-mode kernel.
+HISRES_THREADS=1 "$bin" train --data "$smoke/data" --dim 20 --epochs 2 \
+    --patience 0 --guard rollback --lr 1e30 --quiet --out "$smoke/n1.ckpt" 2>/dev/null
+HISRES_THREADS=4 "$bin" train --data "$smoke/data" --dim 20 --epochs 2 \
+    --patience 0 --guard rollback --lr 1e30 --quiet --out "$smoke/n4.ckpt" 2>/dev/null
+if ! cmp -s "$smoke/n1.ckpt" "$smoke/n4.ckpt"; then
+    echo "ERROR: diverging training (--guard rollback --lr 1e30) at" >&2
+    echo "HISRES_THREADS=1 vs =4 produced different checkpoints." >&2
+    exit 1
+fi
+echo "thread determinism smoke test: OK (1-thread == 4-thread checkpoint, also diverging)"
 
 # ---- online ingestion crash-recovery smoke test ------------------------------
 # Serve with a live WAL-backed ingest session, stream ingest batches at it,
